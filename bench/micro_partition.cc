@@ -12,9 +12,7 @@
 #include "lattice/level.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
-#include "partition/buffer_pool.h"
 #include "partition/error.h"
-#include "partition/kernels/kernels.h"
 #include "partition/partition_builder.h"
 #include "partition/product.h"
 #include "relation/transforms.h"
@@ -123,15 +121,15 @@ BENCHMARK(BM_StrippedVsUnstrippedProduct)->Arg(0)->Arg(1);
 
 // Product-throughput measurement over the paper's dataset stand-ins,
 // written as BENCH_micro_partition.json when --json=PATH is given. Every
-// attribute pair's product is computed with a pooled PartitionProduct —
-// exactly the steady-state configuration of a discovery run, including the
-// left-parent label-reuse token the driver passes — and the
-// allocations-per-product counter in the artifact certifies the
-// zero-allocation claim. Each dataset is measured twice, best-of-N both
-// times: once with no metrics registry attached (the pre-instrumentation
-// configuration) and once with the registry wired to the product and pool
-// exactly as a discovery run wires it; their ratio (obs_overhead_ratio)
-// is what tools/check.sh asserts stays within the 2% overhead budget.
+// attribute pair's product is computed with one PartitionProduct — the
+// configuration of a discovery run, including the left-parent label-reuse
+// token the driver passes — and the allocations-per-product counter in the
+// artifact reports the output arrays each product allocates. Each dataset
+// is measured twice, best-of-N both times: once with no metrics registry
+// attached (the pre-instrumentation configuration) and once with the
+// registry wired to the product exactly as a discovery run wires it; their
+// ratio (obs_overhead_ratio) is what tools/check.sh asserts stays within
+// the 2% overhead budget.
 //
 // Two throughput figures are emitted per dataset. rows_per_sec divides by
 // the member rows Multiply actually walked (TakeRowsScanned: the labeling
@@ -141,13 +139,7 @@ BENCHMARK(BM_StrippedVsUnstrippedProduct)->Arg(0)->Arg(1);
 // the singleton-stripped fraction and by every reused labeling, which is
 // how the old artifact claimed an implausible ~400M rows/sec. Both are kept
 // so the two accountings stay comparable across artifacts.
-int WriteMicroJson(const std::string& path, const std::string& kernel_name) {
-  const StatusOr<KernelKind> kind = ParseKernelKind(kernel_name);
-  if (!kind.ok()) {
-    TANE_LOG(Error) << "--kernel: " << kind.status().ToString();
-    return 1;
-  }
-  const KernelOps* const kernel = ResolveKernel(*kind);
+int WriteMicroJson(const std::string& path) {
   constexpr int64_t kRows = 5000;
   constexpr int kMeasureReps = 5;
 
@@ -169,8 +161,7 @@ int WriteMicroJson(const std::string& path, const std::string& kernel_name) {
   {
     // The paper's ×n row-scaling construction (Figure 4): 20 suffixed
     // copies of the Hepatitis stand-in give a 100k-row relation whose probe
-    // table outgrows the cache — the regime the prefetched/radix paths
-    // exist for. Fewer repeats bound the wall time; each sweep already
+    // table outgrows L1/L2 — the regime the prefetched loops exist for. Fewer repeats bound the wall time; each sweep already
     // walks ~40M member rows.
     StatusOr<Relation> base = MakePaperDataset(PaperDataset::kHepatitis, kRows);
     TANE_CHECK(base.ok()) << base.status().ToString();
@@ -183,7 +174,6 @@ int WriteMicroJson(const std::string& path, const std::string& kernel_name) {
   bench::JsonWriter json;
   json.BeginObject();
   json.Key("benchmark").Value("micro_partition");
-  json.Key("kernel").Value(kernel->name);
   json.Key("datasets").BeginArray();
   for (const MicroDataset& micro : datasets) {
     const Relation& relation = micro.relation;
@@ -193,16 +183,11 @@ int WriteMicroJson(const std::string& path, const std::string& kernel_name) {
       partitions.push_back(PartitionBuilder::ForAttribute(relation, attribute));
     }
 
-    PartitionBufferPool pool(/*num_slots=*/1);
     PartitionProduct product(relation.num_rows());
-    product.set_buffer_pool(&pool, 0);
-    product.set_kernel(kernel);
-    // One sweep of every attribute pair; results recycle into the pool so
-    // later products reuse their buffers, as discovery runs do via the
-    // partition store. The left operand's token (i + 1, mirroring the
-    // driver's store-handle + 1) lets the inner loop skip re-labeling the
-    // shared left parent, again as discovery runs do on sorted candidate
-    // lists.
+    // One sweep of every attribute pair. The left operand's token (i + 1,
+    // mirroring the driver's store-handle + 1) lets the inner loop skip
+    // re-labeling the shared left parent, as discovery runs do on sorted
+    // candidate lists.
     const auto sweep = [&]() -> int64_t {
       int64_t products = 0;
       for (size_t i = 0; i < partitions.size(); ++i) {
@@ -210,19 +195,15 @@ int WriteMicroJson(const std::string& path, const std::string& kernel_name) {
           StatusOr<StrippedPartition> result = product.Multiply(
               partitions[i], partitions[j], static_cast<uint64_t>(i) + 1);
           TANE_CHECK(result.ok()) << result.status().ToString();
-          pool.Recycle(std::move(result).value());
           ++products;
         }
       }
       return products;
     };
 
-    // Warm the pool and scratch until capacities converge (pooled buffer
-    // capacities only grow, so a sweep with zero allocations stays at zero).
-    for (int attempt = 0; attempt < 5; ++attempt) {
-      sweep();
-      if (product.TakeAllocations() == 0) break;
-    }
+    // One warm-up sweep so the measured ones start with warm caches.
+    sweep();
+    product.TakeAllocations();
 
     // Interleaved baseline/instrumented measurement pairs, best-of-
     // kMeasureReps each: alternating the configurations exposes both to the
@@ -248,12 +229,10 @@ int WriteMicroJson(const std::string& path, const std::string& kernel_name) {
     };
     for (int rep = 0; rep < kMeasureReps; ++rep) {
       product.set_metrics(nullptr, 0);
-      pool.set_metrics(nullptr);
       const double base = timed_sweeps();
       allocations += product.TakeAllocations();
 
       product.set_metrics(&registry, /*shard=*/0);
-      pool.set_metrics(&registry);
       const double instrumented = timed_sweeps();
       product.TakeAllocations();  // already counted on the registry
 
@@ -263,7 +242,6 @@ int WriteMicroJson(const std::string& path, const std::string& kernel_name) {
       }
     }
     product.set_metrics(nullptr, 0);
-    pool.set_metrics(nullptr);
 
     const double nominal_rows =
         static_cast<double>(products) * static_cast<double>(relation.num_rows());
@@ -272,7 +250,6 @@ int WriteMicroJson(const std::string& path, const std::string& kernel_name) {
     json.Key("name").Value(micro.name);
     json.Key("rows").Value(relation.num_rows());
     json.Key("columns").Value(relation.num_columns());
-    json.Key("kernel").Value(kernel->name);
     json.Key("products").Value(products);
     json.Key("seconds").Value(seconds);
     json.Key("products_per_sec")
@@ -283,7 +260,6 @@ int WriteMicroJson(const std::string& path, const std::string& kernel_name) {
                            : 0.0);
     json.Key("nominal_rows_per_sec")
         .Value(seconds > 0 ? nominal_rows / seconds : 0.0);
-    json.Key("steady_state_allocations").Value(allocations);
     json.Key("allocations_per_product")
         .Value(products > 0
                    ? static_cast<double>(allocations) /
@@ -309,11 +285,9 @@ int WriteMicroJson(const std::string& path, const std::string& kernel_name) {
 
 // Custom main instead of BENCHMARK_MAIN so the harness-wide
 // --scale/--seed/--json flags are accepted (sizes are fixed; --json selects
-// the machine-readable product-throughput measurement, --kernel pins the
-// dispatch kernel it measures).
+// the machine-readable product-throughput measurement).
 int main(int argc, char** argv) {
   std::string json_path;
-  std::string kernel_name = "auto";
   std::vector<char*> kept;
   for (int i = 0; i < argc; ++i) {
     const std::string_view arg = argv[i];
@@ -322,10 +296,6 @@ int main(int argc, char** argv) {
     }
     if (arg.rfind("--json=", 0) == 0) {
       json_path = std::string(arg.substr(7));
-      continue;
-    }
-    if (arg.rfind("--kernel=", 0) == 0) {
-      kernel_name = std::string(arg.substr(9));
       continue;
     }
     kept.push_back(argv[i]);
@@ -337,6 +307,6 @@ int main(int argc, char** argv) {
   }
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  if (!json_path.empty()) return tane::WriteMicroJson(json_path, kernel_name);
+  if (!json_path.empty()) return tane::WriteMicroJson(json_path);
   return 0;
 }

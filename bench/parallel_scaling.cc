@@ -91,13 +91,6 @@ void RunSweep(const Relation& relation, double epsilon, JsonWriter* json) {
                                      seconds
                                : 0.0);
       json->Key("product_allocations").Value(cell.stats.product_allocations);
-      json->Key("pli_cache_lookups").Value(cell.stats.pli_cache_lookups);
-      json->Key("pli_cache_hits").Value(cell.stats.pli_cache_hits);
-      json->Key("pli_cache_hit_rate")
-          .Value(cell.stats.pli_cache_lookups > 0
-                     ? static_cast<double>(cell.stats.pli_cache_hits) /
-                           static_cast<double>(cell.stats.pli_cache_lookups)
-                     : 0.0);
       json->Key("peak_partition_bytes").Value(cell.stats.peak_partition_bytes);
       json->Key("matches_serial_output").Value(cell.num_fds == serial_fds);
       json->Key("histograms");

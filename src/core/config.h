@@ -68,7 +68,9 @@ struct TaneConfig {
   /// this is exactly the paper's remark about removing line 8.
   bool use_rhs_plus_pruning = true;
 
-  /// Apply the key-pruning rule of PRUNE (Lemma 4.2).
+  /// Apply the key-pruning rule of PRUNE (Lemma 4.2). It is sound only
+  /// for exact validity, so it applies only when the validity threshold
+  /// (⌊ε·|r|⌋, or ⌊ε·|r|²⌋ for g1) is 0.
   bool use_key_pruning = true;
 
   /// Drop A from C⁺(X) when a discovered dependency lhs' → A with
@@ -127,26 +129,6 @@ struct TaneConfig {
   /// config fingerprint: like num_threads itself, it changes scheduling,
   /// never results.
   int64_t parallel_min_window_rows = -1;
-
-  /// Which data-parallel kernel the partition-product and error-scan hot
-  /// loops dispatch to: "auto" (the default; the widest ISA the running CPU
-  /// supports), "scalar", "avx2", or "neon". Explicitly requesting a kernel
-  /// the hardware cannot run falls back to scalar with a warning. Every
-  /// kernel computes the same integer stream, so discovery output is
-  /// bit-identical across values (enforced by
-  /// tests/kernel_equivalence_test.cc) — like num_threads, this is a
-  /// scheduling knob and not part of the checkpoint config fingerprint.
-  std::string kernel = "auto";
-
-  /// Intern structurally identical partitions behind shared storage (the
-  /// PLI cache). Duplicate PLIs — common above the key level, where every
-  /// product is the empty stripped partition — cost a refcount instead of a
-  /// copy. Deduplication confirms candidates with a full structural compare
-  /// (never hash-only); insertions are issued by the commit frontier in
-  /// node order (workers pre-stage the expensive hash/compare work), so
-  /// results stay byte-identical across thread counts. Counters appear in
-  /// DiscoveryStats (pli_cache_*).
-  bool use_pli_cache = true;
 
   StorageMode storage = StorageMode::kMemory;
 

@@ -65,8 +65,6 @@ Status MemoryPartitionStore::Release(int64_t handle) {
                             std::to_string(handle));
   }
   stripe.resident_bytes -= it->second.EstimatedBytes();
-  PartitionBufferPool* pool = pool_.load(std::memory_order_acquire);
-  if (pool != nullptr) pool->Recycle(std::move(it->second));
   stripe.partitions.erase(it);
   return Status::OK();
 }
@@ -327,9 +325,6 @@ StatusOr<int64_t> DiskPartitionStore::Put(StrippedPartition partition) {
     metrics_->AddShared(obs::kSpillBytesWritten,
                         static_cast<int64_t>(record.size()));
   }
-  // The partition now lives on disk; its in-memory buffers are free for
-  // reuse by the next product.
-  if (pool_ != nullptr) pool_->Recycle(std::move(partition));
 
   const int64_t handle = next_handle_++;
   entries_[handle] =
@@ -455,7 +450,6 @@ Status AutoPartitionStore::SpillToDisk() {
   // deltas show the spill writes it performed.
   obs::SpanGuard span(tracer_, "spill", metrics_);
   TANE_ASSIGN_OR_RETURN(disk_, DiskPartitionStore::Open(spill_directory_));
-  if (pool_ != nullptr) disk_->set_buffer_pool(pool_);
   if (metrics_ != nullptr) disk_->set_metrics(metrics_);
   // Hash order only decides the physical order partitions migrate in; the
   // outer handles (the only thing callers see) are unchanged, so nothing

@@ -7,7 +7,6 @@
 #include <string>
 #include <unordered_map>
 
-#include "partition/buffer_pool.h"
 #include "partition/stripped_partition.h"
 #include "util/mutex.h"
 #include "util/retry.h"
@@ -48,12 +47,6 @@ class PartitionStore {
 
   /// Frees the resources behind `handle`. Releasing twice is an error.
   virtual Status Release(int64_t handle) = 0;
-
-  /// Attaches a buffer pool: stores that hold partition buffers recycle
-  /// them into `pool` on Release (and on any Put that discards its
-  /// argument), closing the allocation loop with PartitionProduct. The pool
-  /// must outlive the store; nullptr detaches. Default: no recycling.
-  virtual void set_buffer_pool(PartitionBufferPool* pool) { (void)pool; }
 
   /// Attaches the run's metrics registry: stores that perform spill I/O
   /// count their records and bytes on the registry's shared lane
@@ -112,9 +105,6 @@ class MemoryPartitionStore : public PartitionStore {
   const StrippedPartition* Peek(int64_t handle) const override;
   int64_t resident_bytes() const override;
   int64_t bytes_written() const override { return 0; }
-  void set_buffer_pool(PartitionBufferPool* pool) override {
-    pool_.store(pool, std::memory_order_release);
-  }
 
  private:
   static constexpr int kStripes = 8;  // power of two: stripe = handle & 7
@@ -127,9 +117,7 @@ class MemoryPartitionStore : public PartitionStore {
   };
 
   Stripe stripes_[kStripes];
-  // Set-once publication pointer and a monotonic id counter: each cell's
-  // explicit orders are its whole contract. tane-lint: allow(naked-atomic)
-  std::atomic<PartitionBufferPool*> pool_{nullptr};
+  // A monotonic id counter: its explicit order is its whole contract.
   // tane-lint: allow(naked-atomic)
   std::atomic<int64_t> next_handle_{0};
 };
@@ -169,10 +157,6 @@ class DiskPartitionStore : public PartitionStore {
   StatusOr<int64_t> Put(StrippedPartition partition) override;
   StatusOr<StrippedPartition> Get(int64_t handle) override;
   Status Release(int64_t handle) override;
-  void set_buffer_pool(PartitionBufferPool* pool) override {
-    WriterMutexLock lock(&mu_);
-    pool_ = pool;
-  }
   void set_metrics(obs::MetricsRegistry* metrics) override {
     WriterMutexLock lock(&mu_);
     metrics_ = metrics;
@@ -231,7 +215,6 @@ class DiskPartitionStore : public PartitionStore {
   bool owns_directory_ = false;
   std::unordered_map<int64_t, Entry> entries_ TANE_GUARDED_BY(mu_);
   std::vector<Segment> segments_ TANE_GUARDED_BY(mu_);
-  PartitionBufferPool* pool_ TANE_GUARDED_BY(mu_) = nullptr;
   obs::MetricsRegistry* metrics_ TANE_GUARDED_BY(mu_) = nullptr;
   int64_t next_handle_ TANE_GUARDED_BY(mu_) = 0;
   int64_t bytes_written_ TANE_GUARDED_BY(mu_) = 0;
@@ -262,12 +245,6 @@ class AutoPartitionStore : public PartitionStore {
   const StrippedPartition* Peek(int64_t handle) const override;
   void BeginTaskWindow() override;
   Status EndTaskWindow() override;
-  void set_buffer_pool(PartitionBufferPool* pool) override {
-    WriterMutexLock lock(&mu_);
-    memory_.set_buffer_pool(pool);
-    pool_ = pool;
-    if (disk_ != nullptr) disk_->set_buffer_pool(pool);
-  }
   void set_metrics(obs::MetricsRegistry* metrics) override {
     WriterMutexLock lock(&mu_);
     metrics_ = metrics;
@@ -302,7 +279,6 @@ class AutoPartitionStore : public PartitionStore {
   // (disk_ null vs. not) and the handle indirection around them.
   MemoryPartitionStore memory_;
   std::unique_ptr<DiskPartitionStore> disk_ TANE_GUARDED_BY(mu_);
-  PartitionBufferPool* pool_ TANE_GUARDED_BY(mu_) = nullptr;
   obs::MetricsRegistry* metrics_ TANE_GUARDED_BY(mu_) = nullptr;
   obs::Tracer* tracer_ TANE_GUARDED_BY(mu_) = nullptr;
   // This store's handle -> the active inner store's handle; every entry is

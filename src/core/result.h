@@ -2,7 +2,6 @@
 #define TANE_CORE_RESULT_H_
 
 #include <cstdint>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -48,8 +47,8 @@ struct DiscoveryStats {
   /// Partition products computed.
   int64_t partition_products = 0;
   /// Heap allocations performed inside PartitionProduct::Multiply across
-  /// all workers (scratch growth plus output buffers the pool could not
-  /// cover). 0 per product once pooling has warmed up.
+  /// all workers: the output rows and offsets arrays, two per product (one
+  /// when an operand has no member rows).
   int64_t product_allocations = 0;
   /// Member rows actually walked by partition products (labeling + probe
   /// passes) across all workers — the honest rows/sec denominator.
@@ -59,15 +58,6 @@ struct DiscoveryStats {
   int64_t product_label_reuses = 0;
   /// Member rows walked by error-measure scans across all workers.
   int64_t g3_rows_scanned = 0;
-  /// The dispatched data-parallel kernel ("scalar", "avx2", "neon").
-  std::string kernel;
-  /// Interning PLI cache counters (lookups == hits + misses). All zero when
-  /// the cache is disabled.
-  int64_t pli_cache_lookups = 0;
-  int64_t pli_cache_hits = 0;
-  int64_t pli_cache_misses = 0;
-  /// Resident partition bytes avoided by deduplicating identical PLIs.
-  int64_t pli_cache_bytes_saved = 0;
   /// Keys found (sets removed by key pruning).
   int64_t keys_found = 0;
   /// Peak bytes of partitions resident in memory at once.

@@ -7,7 +7,6 @@
 #include <functional>
 #include <limits>
 #include <list>
-#include <map>
 #include <memory>
 #include <optional>
 #include <thread>
@@ -15,14 +14,12 @@
 #include <vector>
 
 #include "core/partition_store.h"
-#include "core/pli_cache.h"
 #include "core/run_snapshot.h"
 #include "lattice/level.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/progress.h"
 #include "obs/trace.h"
-#include "partition/buffer_pool.h"
 #include "partition/error.h"
 #include "partition/partition_builder.h"
 #include "partition/product.h"
@@ -65,9 +62,8 @@ void LogIgnoredStatus(const Status& status, const char* context) {
 }
 
 // One attribute set of the current level, with its rhs⁺ candidates C⁺(X),
-// the partition error e(X), the member-row count ‖π_X‖ (drives the next
-// window's output-buffer plan), and the handle of π_X in the partition
-// store.
+// the partition error e(X), the member-row count ‖π_X‖ (the next window's
+// row-work estimate), and the handle of π_X in the partition store.
 struct Node {
   AttributeSet set;
   AttributeSet cplus;
@@ -171,8 +167,6 @@ struct NodeOutcome {
 struct WindowSlot {
   std::optional<StatusOr<StrippedPartition>> partition;
   NodeOutcome outcome;
-  PliCache::StagedProbe staged;
-  bool has_staged = false;
   // Per-slot completion latch, release-published / acquire-consumed by the
   // window executor; no multi-word protocol. tane-lint: allow(naked-atomic)
   std::atomic<int> done{0};
@@ -190,24 +184,21 @@ struct WindowInputs {
   // level 1, where the tests run against π_∅.
   const std::vector<Node>* parents = nullptr;
   const LevelIndex* parent_index = nullptr;
-  // Output-row bound per candidate (min of the parents' member rows);
-  // nullptr disables the deterministic buffer plan (level 1, fold mode).
-  const std::vector<int64_t>* row_bounds = nullptr;
   // Fold mode at level 1: keep a resident copy of every singleton partition
   // next to the stored one.
   bool stash_singletons = false;
-  // Σ row_bounds (or an equivalent proxy): the serial-fallback estimate of
-  // the window's total row work.
+  // Σ over candidates of the smaller parent's member rows (or an
+  // equivalent proxy): the serial-fallback estimate of the window's total
+  // row work.
   int64_t est_row_work = 0;
 };
 
 // Shared mutable state of one fused level window. Workers coordinate
 // through the atomic commit `frontier`; everything whose order matters —
-// store inserts, PLI-cache verdicts, the committed node list, the first
-// failure — happens under `mu`, strictly in candidate order. That frontier
-// is the whole determinism argument: handle values, cache hit/miss
-// decisions, and e(·) bookkeeping are issued exactly as a serial run would
-// issue them, for every thread count.
+// store inserts, the committed node list, the first failure — happens
+// under `mu`, strictly in candidate order. That frontier is the whole
+// determinism argument: handle values and e(·) bookkeeping are issued
+// exactly as a serial run would issue them, for every thread count.
 struct WindowContext {
   int64_t count = 0;
   // How far past the frontier a task may start; bounds the partitions that
@@ -225,35 +216,19 @@ struct WindowContext {
   std::vector<Node> nodes TANE_GUARDED_BY(mu);
 };
 
-// Pops the smallest planned buffer whose capacity covers `bound`; an empty
-// vector when the free list cannot (the consumer then allocates and counts
-// it, exactly like a dry pool).
-std::vector<int32_t> TakePlannedBuffer(
-    std::multimap<size_t, std::vector<int32_t>>* free_buffers, size_t bound) {
-  if (free_buffers->empty()) return {};
-  auto it = free_buffers->lower_bound(bound);
-  if (it == free_buffers->end()) return {};
-  std::vector<int32_t> buffer = std::move(it->second);
-  free_buffers->erase(it);
-  return buffer;
-}
-
 class TaneRun {
  public:
   /// `resume_snapshot` (optional, not owned, pre-validated by Discover)
   /// restores the run to its checkpointed level boundary before the
-  /// levelwise loop continues. `pli_cache` (optional, not owned) is the
-  /// interning decorator inside `store`, exposed so the commit frontier can
-  /// pre-stage cache probes on worker threads.
+  /// levelwise loop continues.
   TaneRun(const Relation& relation, const TaneConfig& config,
-          std::unique_ptr<PartitionStore> store, PliCache* pli_cache,
+          std::unique_ptr<PartitionStore> store,
           const RunSnapshot* resume_snapshot)
       : relation_(relation),
         resume_snapshot_(resume_snapshot),
         config_(config),
         controller_(config.run_controller),
         store_(std::move(store)),
-        pli_cache_(pli_cache),
         num_rows_(relation.num_rows()),
         max_removals_(IntegerThreshold(
             config.epsilon, static_cast<double>(relation.num_rows()))),
@@ -261,30 +236,16 @@ class TaneRun {
             config.epsilon, static_cast<double>(relation.num_rows()) *
                                 static_cast<double>(relation.num_rows()))),
         pool_(config.num_threads),
-        buffer_pool_(config.num_threads),
         metrics_(config.num_threads),
         tracer_(config.tracer) {
-    // Close the allocation loop: the store recycles released partition
-    // buffers into the pool, and each worker's product scratch acquires
-    // from its own slot (lock-free off the refill path).
-    store_->set_buffer_pool(&buffer_pool_);
     store_->set_metrics(&metrics_);
     store_->set_tracer(tracer_);
-    buffer_pool_.set_metrics(&metrics_);
-    // Resolve the dispatch kernel once (config validation already vetted
-    // the name) and hand the same immutable ops table to every worker's
-    // product and error scratch.
-    kernel_ = ResolveKernel(ParseKernelKind(config.kernel).value());
-    metrics_.SetGauge(obs::kKernelKind, static_cast<int64_t>(kernel_->kind));
     workers_.reserve(config.num_threads);
     for (int worker = 0; worker < config.num_threads; ++worker) {
       workers_.push_back(
           std::make_unique<WorkerState>(store_.get(), num_rows_, worker));
-      workers_.back()->product.set_buffer_pool(&buffer_pool_, worker);
       workers_.back()->product.set_metrics(&metrics_, worker);
-      workers_.back()->product.set_kernel(kernel_);
       workers_.back()->g3.set_metrics(&metrics_, worker);
-      workers_.back()->g3.set_kernel(kernel_);
     }
     if (tracer_ != nullptr) {
       // Per-worker drain slices nest under whichever phase span encloses
@@ -348,7 +309,7 @@ class TaneRun {
                       bool* valid, double* error, bool* exact_holds);
 
   // The fused task window that builds one level: every candidate is one
-  // task (partition build + error + validity tests + staged PLI probe),
+  // task (partition build + error + validity tests),
   // runnable as soon as its parents exist — the parents are the previous
   // level, fully live for the whole window, so all tasks are immediately
   // runnable and the pool's work-stealing deques schedule them with no
@@ -366,9 +327,9 @@ class TaneRun {
   void CommitReadySlots(WindowContext* ctx, bool blocking)
       TANE_EXCLUDES(ctx->mu);
 
-  // Commits slot `i`: stores the partition (through the staged PLI-cache
-  // path when available), appends the node, and runs the strided resident-
-  // bytes budget check. Called only at the frontier, in candidate order.
+  // Commits slot `i`: stores the partition, appends the node, and runs the
+  // strided resident-bytes budget check. Called only at the frontier, in
+  // candidate order.
   Status CommitOneSlot(WindowContext* ctx, int64_t i)
       TANE_REQUIRES(ctx->mu);
 
@@ -415,6 +376,13 @@ class TaneRun {
 
   bool checkpointing() const { return !config_.checkpoint_directory.empty(); }
 
+  // True when validity is exact: the integer threshold of the configured
+  // measure is 0, so only dependencies without violations are valid.
+  bool exact_threshold() const {
+    return (config_.measure == ErrorMeasure::kG1 ? max_pairs_
+                                                 : max_removals_) == 0;
+  }
+
   Status ReleaseHandles(std::vector<Node>* nodes);
   void SamplePeakMemory();
 
@@ -424,11 +392,11 @@ class TaneRun {
     return total;
   }
 
-  // Bytes retained outside the store: pooled freelist buffers plus every
-  // worker's product scratch. Counted toward the memory budget so pooling
-  // cannot hide memory from --memory-budget-mb.
-  int64_t ScratchAndPoolBytes() const {
-    int64_t total = buffer_pool_.pooled_bytes();
+  // Bytes retained outside the store by every worker's product scratch.
+  // Counted toward the memory budget so scratch cannot hide memory from
+  // --memory-budget-mb.
+  int64_t ScratchBytes() const {
+    int64_t total = 0;
     for (const auto& worker : workers_) {
       total += worker->product.ScratchBytes();
     }
@@ -505,7 +473,7 @@ class TaneRun {
     const int64_t budget = controller_->memory_budget_bytes();
     if (budget <= 0) return Status::OK();
     const int64_t resident = store_->resident_bytes() + AccessorCacheBytes() +
-                             ScratchAndPoolBytes();
+                             ScratchBytes();
     if (resident <= budget) return Status::OK();
     ReportBudgetBreach(resident, budget);
     return Status::ResourceExhausted(
@@ -606,29 +574,19 @@ class TaneRun {
   const TaneConfig& config_;
   RunController* const controller_;
   std::unique_ptr<PartitionStore> store_;
-  // The interning cache inside store_ (nullptr when disabled); lets the
-  // window stage probes on workers and commit verdicts at the frontier.
-  PliCache* const pli_cache_;
   const int64_t num_rows_;
   // ⌊ε·|r|⌋: validity threshold for g3 removal and g2 row counts.
   const int64_t max_removals_;
   // ⌊ε·|r|²⌋: validity threshold for g1 ordered-pair counts.
   const int64_t max_pairs_;
   ThreadPool pool_;
-  // Shared buffer freelist: stores recycle released CSR arrays here and
-  // worker products acquire their output buffers from it. Declared after
-  // store_ but never touched by store destructors, so member order is safe.
-  PartitionBufferPool buffer_pool_;
   // Run-wide metric shards (one per worker) plus gauges; always on. The
   // DiscoveryStats counters become views over this registry at the end of
   // Run. Declared before workers_ so products can bind to it in the ctor
-  // and after store_/buffer_pool_ so teardown order is safe.
+  // and after store_ so teardown order is safe.
   obs::MetricsRegistry metrics_;
   obs::Tracer* const tracer_;
   std::unique_ptr<obs::ProgressMonitor> monitor_;
-  // The dispatch kernel every worker's product and g3 scratch uses;
-  // resolved once from config.kernel in the ctor (process-lifetime table).
-  const KernelOps* kernel_ = nullptr;
   std::vector<std::unique_ptr<WorkerState>> workers_;
   DiscoveryStats stats_;
 
@@ -687,10 +645,9 @@ void TaneRun::SamplePeakMemory() {
   // heartbeat line; stats_.peak_partition_bytes is read back from the peak
   // gauge at the end of the run.
   const int64_t resident = store_->resident_bytes() + AccessorCacheBytes() +
-                           ScratchAndPoolBytes();
+                           ScratchBytes();
   metrics_.SetGauge(obs::kResidentBytes, resident);
   metrics_.MaxGauge(obs::kPeakResidentBytes, resident);
-  metrics_.SetGauge(obs::kPooledBytes, buffer_pool_.pooled_bytes());
 }
 
 Status TaneRun::ReleaseHandles(std::vector<Node>* nodes) {
@@ -886,8 +843,12 @@ Status TaneRun::Prune(int level_number, std::vector<Node>* level,
     }
     // Rule 2: key pruning (Lemma 4.2). A set reaching its level with
     // e(X) = 0 is a key: superkeys that are not keys have a key as a proper
-    // subset and were therefore never generated.
-    if (config_.use_key_pruning && node.error == 0 && num_rows_ > 0) {
+    // subset and were therefore never generated. Exact validity only: with
+    // a nonzero threshold the minimal AFDs Y\{A} → A with A ∈ X are tested
+    // at supersets Y of X, which deleting X would never generate, and the
+    // C⁺ sets below do not certify approximate minimality.
+    if (config_.use_key_pruning && exact_threshold() && node.error == 0 &&
+        num_rows_ > 0) {
       metrics_.Add(0, obs::kKeysFound, 1);
       result->keys.push_back(node.set);
       // Output X → A for rhs⁺ candidates outside X whose minimality is
@@ -1000,9 +961,6 @@ Status TaneRun::CommitOneSlot(WindowContext* ctx, int64_t i) {
     // gets the copy so the original can live in singleton_partitions_.
     TANE_ASSIGN_OR_RETURN(node.handle, store_->Put(partition));
     singleton_partitions_.push_back(std::move(partition));
-  } else if (pli_cache_ != nullptr && slot.has_staged) {
-    TANE_ASSIGN_OR_RETURN(
-        node.handle, pli_cache_->PutStaged(std::move(partition), slot.staged));
   } else {
     TANE_ASSIGN_OR_RETURN(node.handle, store_->Put(std::move(partition)));
   }
@@ -1071,41 +1029,11 @@ Status TaneRun::RunLevelWindow(const WindowInputs& in, const BuildFn& build,
     ctx.nodes.reserve(count);
   }
 
-  // The deterministic output-buffer plan (product mode): drain the pool
-  // once and assign each candidate, in node order, the smallest free buffer
-  // that covers its output bound. Unlike slot-local Acquire warm-up, the
-  // plan is a pure function of the candidate list — the run-wide allocation
-  // count cannot drift with the thread count.
-  const bool planned = in.row_bounds != nullptr;
-  std::vector<std::vector<int32_t>> planned_rows;
-  std::vector<std::vector<int32_t>> planned_offsets;
-  std::multimap<size_t, std::vector<int32_t>> free_buffers;
-  if (planned) {
-    for (std::vector<int32_t>& buffer : buffer_pool_.TakeAll()) {
-      const size_t capacity = buffer.capacity();
-      free_buffers.emplace(capacity, std::move(buffer));
-    }
-    planned_rows.resize(count);
-    planned_offsets.resize(count);
-    const size_t min_size = config_.use_stripped_partitions ? 2 : 1;
-    for (int64_t i = 0; i < count; ++i) {
-      const size_t row_bound = static_cast<size_t>((*in.row_bounds)[i]);
-      const size_t offsets_bound = row_bound / min_size + 1;
-      planned_rows[i] = TakePlannedBuffer(&free_buffers, row_bound);
-      planned_offsets[i] = TakePlannedBuffer(&free_buffers, offsets_bound);
-    }
-  }
-
   // The per-task body, shared by the parallel window and the serial
-  // fallback: build the candidate's partition (with its planned buffers),
-  // fuse in the validity tests against the parent level, and pre-stage the
-  // PLI-cache probe so the commit frontier only has to issue the verdict.
+  // fallback: build the candidate's partition and fuse in the validity
+  // tests against the parent level.
   auto run_task = [&](WorkerState* w, int64_t i) {
     WindowSlot& slot = ctx.slots[i];
-    if (planned) {
-      w->product.ProvideOutputBuffers(std::move(planned_rows[i]),
-                                      std::move(planned_offsets[i]));
-    }
     slot.partition.emplace(build(w, i));
     if (!slot.partition->ok()) return;
     const StrippedPartition& built = slot.partition->value();
@@ -1118,11 +1046,6 @@ Status TaneRun::RunLevelWindow(const WindowInputs& in, const BuildFn& build,
                                       &slot.outcome);
     slot.outcome.processed = true;
     metrics_.Add(w->shard, obs::kNodesProcessed, 1);
-    if (slot.outcome.status.ok() && pli_cache_ != nullptr &&
-        !in.stash_singletons) {
-      slot.staged = pli_cache_->ProbeStaged(built);
-      slot.has_staged = true;
-    }
   };
 
   store_->BeginTaskWindow();
@@ -1191,20 +1114,6 @@ Status TaneRun::RunLevelWindow(const WindowInputs& in, const BuildFn& build,
     lp->worker_seconds += elapsed;
   }
   const Status end_status = store_->EndTaskWindow();
-
-  // Return the plan's unconsumed buffers (never issued, or skipped by a
-  // stop) so the next window's planner sees them again.
-  if (planned) {
-    for (auto& [capacity, buffer] : free_buffers) {
-      buffer_pool_.Recycle(std::move(buffer));
-    }
-    for (std::vector<int32_t>& buffer : planned_rows) {
-      if (buffer.capacity() > 0) buffer_pool_.Recycle(std::move(buffer));
-    }
-    for (std::vector<int32_t>& buffer : planned_offsets) {
-      if (buffer.capacity() > 0) buffer_pool_.Recycle(std::move(buffer));
-    }
-  }
 
   int64_t committed = 0;
   Status window_status = Status::OK();
@@ -1337,9 +1246,9 @@ Status TaneRun::RestoreFromSnapshot(const RunSnapshot& snapshot,
   last_checkpoint_level_ = snapshot.completed_level;
 
   // Survivor partitions rehydrate through the regular Put path, so the
-  // store chain (spill, budget accounting, PLI interning) treats them
-  // exactly like partitions the run computed itself. member_rows is
-  // relation-derived state the snapshot format deliberately omits.
+  // store chain (spill, budget accounting) treats them exactly like
+  // partitions the run computed itself. member_rows is relation-derived
+  // state the snapshot format deliberately omits.
   survivors->reserve(snapshot.survivors.size());
   for (const SnapshotNode& stored : snapshot.survivors) {
     TANE_ASSIGN_OR_RETURN(StrippedPartition partition,
@@ -1422,15 +1331,13 @@ StatusOr<bool> TaneRun::AdvanceLevel(int level_number,
   const int next_level = level_number + 1;
   std::vector<AttributeSet> sets(candidates.size());
   std::vector<AttributeSet> cplus(candidates.size());
-  std::vector<int64_t> row_bounds(candidates.size());
   int64_t est_row_work = 0;
   for (size_t i = 0; i < candidates.size(); ++i) {
     sets[i] = candidates[i].set;
     cplus[i] = SeedCplus(next_level, sets[i], survivors, &survivor_index);
-    row_bounds[i] =
+    est_row_work +=
         std::min((*survivors)[candidates[i].parent_a].member_rows,
                  (*survivors)[candidates[i].parent_b].member_rows);
-    est_row_work += row_bounds[i];
   }
 
   // The next level's timing row is pushed before its window so the fused
@@ -1449,16 +1356,11 @@ StatusOr<bool> TaneRun::AdvanceLevel(int level_number,
   in.cplus = &cplus;
   in.parents = survivors;
   in.parent_index = &survivor_index;
-  in.row_bounds = config_.use_partition_products ? &row_bounds : nullptr;
   in.est_row_work = est_row_work;
   std::vector<Node> next;
   Status window_status;
   {
     obs::SpanGuard span(tracer_, "products", &metrics_);
-    // Kernel attribution is per-span, not per-dispatch: a counter read per
-    // product would cost two syscalls on the hottest path. The dispatched
-    // kernel is constant for the run, so the span arg loses nothing.
-    span.AddArg("kernel_kind", static_cast<int64_t>(kernel_->kind));
     window_status = RunLevelWindow(
         in,
         [&](WorkerState* w, int64_t i) {
@@ -1632,7 +1534,6 @@ Status TaneRun::Run(DiscoveryResult* result) {
       // The window already ran this level's validity tests; what remains is
       // the serial in-node-order merge of emissions and C⁺ updates.
       obs::SpanGuard span(tracer_, "validity", &metrics_);
-      span.AddArg("kernel_kind", static_cast<int64_t>(kernel_->kind));
       TANE_RETURN_IF_ERROR(MergeOutcomes(&current, result));
     }
     {
@@ -1699,7 +1600,6 @@ Status TaneRun::Run(DiscoveryResult* result) {
   stats_.product_rows_scanned = snapshot.counter(obs::kProductRowsScanned);
   stats_.product_label_reuses = snapshot.counter(obs::kProductLabelReuses);
   stats_.g3_rows_scanned = snapshot.counter(obs::kG3RowsScanned);
-  stats_.kernel = std::string(KernelKindName(kernel_->kind));
   stats_.keys_found = snapshot.counter(obs::kKeysFound);
   stats_.peak_partition_bytes = snapshot.gauge(obs::kPeakResidentBytes);
   stats_.checkpoint_writes = snapshot.counter(obs::kCheckpointWrites);
@@ -1767,28 +1667,11 @@ StatusOr<DiscoveryResult> Tane::Discover(const Relation& relation,
     store = std::make_unique<MemoryPartitionStore>();
   }
 
-  // The interning PLI cache decorates whichever store was chosen; outer
-  // handles behave exactly like the raw store's, so the run is oblivious.
-  PliCache* pli_cache = nullptr;
-  if (config.use_pli_cache) {
-    auto cache = std::make_unique<PliCache>(std::move(store));
-    pli_cache = cache.get();
-    store = std::move(cache);
-  }
-
   DiscoveryResult result;
-  TaneRun run(relation, config, std::move(store), pli_cache,
-              resume_snapshot.get());
+  TaneRun run(relation, config, std::move(store), resume_snapshot.get());
   TANE_RETURN_IF_ERROR(run.Run(&result));
   if (auto_store != nullptr) {
     result.stats.degraded_to_disk = auto_store->spilled();
-  }
-  if (pli_cache != nullptr) {
-    const PliCacheStats cache_stats = pli_cache->stats();
-    result.stats.pli_cache_lookups = cache_stats.lookups;
-    result.stats.pli_cache_hits = cache_stats.hits;
-    result.stats.pli_cache_misses = cache_stats.misses;
-    result.stats.pli_cache_bytes_saved = cache_stats.bytes_saved;
   }
   return result;
 }

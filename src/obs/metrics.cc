@@ -1,7 +1,8 @@
 #include "obs/metrics.h"
 
-// tane-atomics: single-writer
-// See metrics.h: value-only cells, relaxed by contract.
+// tane-atomics: single-writer(count, sum)
+// See metrics.h: value-only cells are relaxed by contract; a histogram's
+// count/sum pair is release-stored and read back count, sum, count.
 
 #include <algorithm>
 #include <atomic>
@@ -27,13 +28,6 @@ std::string_view CounterName(CounterId id) {
     case kKeysFound:          return "keys_found";
     case kNodesProcessed:     return "nodes_processed";
     case kFdsEmitted:         return "fds_emitted";
-    case kPliCacheLookups:    return "pli_cache_lookups";
-    case kPliCacheHits:       return "pli_cache_hits";
-    case kPliCacheMisses:     return "pli_cache_misses";
-    case kPoolAcquires:       return "pool_acquires";
-    case kPoolReuses:         return "pool_reuses";
-    case kPoolRecycles:       return "pool_recycles";
-    case kPoolDropped:        return "pool_dropped";
     case kSpillWrites:        return "spill_writes";
     case kSpillReads:         return "spill_reads";
     case kSpillBytesWritten:  return "spill_bytes_written";
@@ -57,12 +51,9 @@ std::string_view GaugeName(GaugeId id) {
     case kMaxLevelSize:       return "max_level_size";
     case kResidentBytes:      return "resident_bytes";
     case kPeakResidentBytes:  return "peak_resident_bytes";
-    case kPooledBytes:        return "pooled_bytes";
-    case kPliCacheBytesSaved: return "pli_cache_bytes_saved";
     case kDegradedToDisk:     return "degraded_to_disk";
     case kCheckpointLastLevel: return "checkpoint_last_level";
     case kResumedFromLevel:   return "resumed_from_level";
-    case kKernelKind:         return "kernel_kind";
     case kGaugeCount:         break;
   }
   return "unknown_gauge";
@@ -135,10 +126,13 @@ void MetricsRegistry::Record(int shard, HistogramId id, int64_t value) {
   std::atomic<int64_t>& cell = h.buckets[bucket];
   cell.store(cell.load(std::memory_order_relaxed) + 1,
              std::memory_order_relaxed);
+  // count, then sum, both release: a reader that sees a count sees the
+  // sum of every earlier Record, and a reader that sees a sum sees its
+  // count (see ReadCountAndSum).
   h.count.store(h.count.load(std::memory_order_relaxed) + 1,
-                std::memory_order_relaxed);
+                std::memory_order_release);
   h.sum.store(h.sum.load(std::memory_order_relaxed) + value,
-              std::memory_order_relaxed);
+              std::memory_order_release);
   if (value > h.max.load(std::memory_order_relaxed)) {
     h.max.store(value, std::memory_order_relaxed);
   }
@@ -153,6 +147,23 @@ void MetricsRegistry::AddHwSpan(std::string_view phase,
   }
   ++it->second.spans;
   it->second.hw += delta;
+}
+
+void MetricsRegistry::ReadCountAndSum(const ShardHistogram& h,
+                                      int64_t* count, int64_t* sum) {
+  // A reader preempted between two plain loads could see any gap between
+  // count and sum. Re-reading count around sum and retrying until the two
+  // reads agree bounds the gap to the one Record that may be between its
+  // count and sum stores. A retry happens only when the shard's writer
+  // records between the two count loads.
+  int64_t before = h.count.load(std::memory_order_acquire);
+  while (true) {
+    *sum = h.sum.load(std::memory_order_acquire);
+    const int64_t after = h.count.load(std::memory_order_acquire);
+    if (after == before) break;
+    before = after;
+  }
+  *count = before;
 }
 
 int64_t MetricsRegistry::CounterTotal(CounterId id) const {
@@ -187,8 +198,11 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
     HistogramSnapshot& out = snapshot.histograms[id];
     for (int shard = 0; shard < num_shards_; ++shard) {
       const ShardHistogram& h = shards_[shard].histograms[id];
-      out.count += h.count.load(std::memory_order_relaxed);
-      out.sum += h.sum.load(std::memory_order_relaxed);
+      int64_t count = 0;
+      int64_t sum = 0;
+      ReadCountAndSum(h, &count, &sum);
+      out.count += count;
+      out.sum += sum;
       out.max = std::max(out.max, h.max.load(std::memory_order_relaxed));
       for (int b = 0; b < kHistogramBuckets; ++b) {
         out.buckets[b] += h.buckets[b].load(std::memory_order_relaxed);

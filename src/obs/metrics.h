@@ -1,11 +1,14 @@
 #ifndef TANE_OBS_METRICS_H_
 #define TANE_OBS_METRICS_H_
 
-// tane-atomics: single-writer
-// Declared with no published words on purpose: every cell is an
-// independent monotonic value (sharded counters, histogram fields) that
-// readers only aggregate into a snapshot. Relaxed is the contract — no
-// cell's value is ever used to order a read of another cell.
+// tane-atomics: single-writer(count, sum)
+// Every shard cell has one writer thread. Counters, buckets, max and
+// gauges are independent monotonic values that readers only aggregate
+// into a snapshot, so relaxed is their contract. The one pair read
+// together is a histogram's count and sum: Record stores count, then sum,
+// both release; Snapshot loads count, sum and count again, all acquire,
+// and retries until the two count loads agree. A shard's pair is
+// then off by at most the one Record in flight.
 
 #include <array>
 #include <atomic>
@@ -25,7 +28,7 @@ namespace obs {
 
 /// Monotonic counters. Worker-owned counters (validity tests, scans,
 /// products, ...) accumulate in per-worker shards with no cross-thread
-/// contention; shared-path counters (spill I/O, pool recycling) use the
+/// contention; shared-path counters (spill I/O, set generation) use the
 /// registry's dedicated atomic lane. Snapshot() aggregates both.
 enum CounterId : int {
   kValidityTests = 0,   ///< the paper's v
@@ -40,13 +43,6 @@ enum CounterId : int {
   kKeysFound,           ///< sets removed by key pruning
   kNodesProcessed,      ///< lattice nodes whose validity tests finished
   kFdsEmitted,          ///< minimal dependencies recorded
-  kPliCacheLookups,
-  kPliCacheHits,
-  kPliCacheMisses,
-  kPoolAcquires,        ///< buffers handed out by the buffer pool
-  kPoolReuses,          ///< acquires served without a heap allocation
-  kPoolRecycles,        ///< buffers returned to the pool
-  kPoolDropped,         ///< recycles rejected at the pool byte cap
   kSpillWrites,         ///< partition records written to spill segments
   kSpillReads,          ///< partition records read back from spill segments
   kSpillBytesWritten,
@@ -67,14 +63,11 @@ enum GaugeId : int {
   kLevelNodesTotal,     ///< nodes in the current level
   kLevelNodesStart,     ///< kNodesProcessed total when this level began
   kMaxLevelSize,        ///< the paper's s_max
-  kResidentBytes,       ///< partitions + scratch + pool currently resident
+  kResidentBytes,       ///< partitions + scratch currently resident
   kPeakResidentBytes,
-  kPooledBytes,         ///< bytes retained by the buffer-pool freelists
-  kPliCacheBytesSaved,
   kDegradedToDisk,      ///< 1 once a kAuto store spilled mid-run
   kCheckpointLastLevel,  ///< deepest level captured by a durable snapshot
   kResumedFromLevel,    ///< snapshot level this run restarted from (0: fresh)
-  kKernelKind,          ///< dispatched KernelKind (kernels.h enum value)
   kGaugeCount,
 };
 
@@ -123,7 +116,8 @@ struct HwPhaseSnapshot {
 /// A consistent-enough aggregate of every metric: counter totals summed
 /// across shards, current gauge values, and merged histograms. Taken while
 /// workers run it may lag individual shards by a few increments, but each
-/// shard value is read atomically — never torn.
+/// shard value is read atomically — never torn — and each shard's
+/// histogram count and sum differ by at most one in-flight Record.
 struct MetricsSnapshot {
   std::array<int64_t, kCounterCount> counters{};
   std::array<int64_t, kGaugeCount> gauges{};
@@ -143,13 +137,13 @@ struct MetricsSnapshot {
 };
 
 /// The run-wide metrics registry. Designed so instrumentation adds no
-/// contention to the zero-allocation product path:
+/// contention to the product path:
 ///
 ///  * every worker owns one cache-line-padded *shard*; Add()/Record() on a
 ///    shard are single-writer relaxed atomic stores (a plain load+add+store,
 ///    no lock prefix, no sharing) — the monitor thread reading concurrently
 ///    sees exact, untorn values;
-///  * code that cannot name a worker (disk store, pool recycling) uses
+///  * code that cannot name a worker (disk store, commit frontier) uses
 ///    AddShared(), a relaxed fetch_add on a dedicated shared lane;
 ///  * gauges are plain atomics written by the coordinator / stores.
 ///
@@ -185,7 +179,7 @@ class MetricsRegistry {
 
   /// Adds `delta` from any thread (atomic read-modify-write). This is the
   /// shared lane for paths with no worker identity — spill I/O inside the
-  /// disk store, pool recycling, PLI-cache bookkeeping. The fetch_add *is*
+  /// disk store, the commit frontier's set count. The fetch_add *is*
   /// the synchronization: no lock guards these cells, so the lane needs no
   /// TANE_GUARDED_BY and stays safe from any thread.
   void AddShared(CounterId id, int64_t delta) {
@@ -234,6 +228,11 @@ class MetricsRegistry {
     std::atomic<int64_t> sum{0};
     std::atomic<int64_t> max{0};
   };
+
+  // Reads one shard histogram's count and sum so they differ by at most
+  // the one Record in flight (see the contract at the top of this file).
+  static void ReadCountAndSum(const ShardHistogram& h, int64_t* count,
+                              int64_t* sum);
 
   // Padded so two workers' hot counters never share a cache line.
   struct alignas(64) Shard {

@@ -83,13 +83,9 @@ void WriteMetricsObject(const MetricsSnapshot& snapshot, JsonWriter* json) {
   json->EndObject();
 }
 
-void WriteHwObject(const MetricsSnapshot& snapshot,
-                   const std::string& kernel, JsonWriter* json) {
+void WriteHwObject(const MetricsSnapshot& snapshot, JsonWriter* json) {
   json->BeginObject();
   json->Key("backend").Value(snapshot.hw_backend);
-  // One run dispatches one kernel; naming it here is what makes the phase
-  // rows per-kernel attributable across runs/artifacts.
-  json->Key("kernel").Value(kernel);
   json->Key("phases").BeginArray();
   const HwPhaseSnapshot* run_phase = nullptr;
   const HwPhaseSnapshot* products_phase = nullptr;
@@ -147,10 +143,6 @@ void WriteRunReport(const TaneConfig& config, const DiscoveryResult& result,
   json->Key("measure").Value(MeasureName(config.measure));
   json->Key("max_lhs_size").Value(config.max_lhs_size);
   json->Key("num_threads").Value(config.num_threads);
-  // The requested kernel; the dispatched one (post-fallback) is
-  // result.stats.kernel, surfaced via the kernel_kind gauge.
-  json->Key("kernel").Value(config.kernel);
-  json->Key("use_pli_cache").Value(config.use_pli_cache);
   json->Key("storage").Value(StorageName(config.storage));
   json->Key("use_rhs_plus_pruning").Value(config.use_rhs_plus_pruning);
   json->Key("use_key_pruning").Value(config.use_key_pruning);
@@ -205,7 +197,7 @@ void WriteRunReport(const TaneConfig& config, const DiscoveryResult& result,
   WriteHistogramsObject(result.metrics, json);
 
   json->Key("hw");
-  WriteHwObject(result.metrics, stats.kernel, json);
+  WriteHwObject(result.metrics, json);
 
   // Ring-buffer status of the tracer this run used (if any): a nonzero
   // dropped count means the trace file is a truncated window, and readers

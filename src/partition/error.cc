@@ -6,6 +6,7 @@
 #include <string>
 
 #include "obs/metrics.h"
+#include "partition/kernels/kernels.h"
 
 namespace tane {
 
@@ -66,9 +67,8 @@ Status G3Calculator::PrepareAndLabel(const StrippedPartition& lhs,
     probe_base_ = 0;
   }
   *base = static_cast<int32_t>(probe_base_);
-  kernel_->label_rows(probe_.data(), lhs_with_rhs.row_ids().data(),
-                      lhs_with_rhs.class_offsets().data(), fine_classes,
-                      *base);
+  LabelRows(probe_.data(), lhs_with_rhs.row_ids().data(),
+            lhs_with_rhs.class_offsets().data(), fine_classes, *base);
   probe_base_ += fine_classes;
   return Status::OK();
 }
@@ -101,8 +101,8 @@ StatusOr<int64_t> G3Calculator::RemovalCount(
   for (int64_t cls = 0; cls < lhs.num_classes(); ++cls) {
     const int32_t begin = lhs.class_begin(cls);
     const int32_t class_rows = lhs.class_end(cls) - begin;
-    kernel_->gather_groups(probe_.data(), coarse_rows.data() + begin,
-                           class_rows, base, groups);
+    GatherGroups(probe_.data(), coarse_rows.data() + begin, class_rows, base,
+                 groups);
     // The largest subclass has size >= 1 even if every row of this class is
     // a singleton in π_{X∪A}.
     int32_t largest = 1;
@@ -155,8 +155,8 @@ StatusOr<int64_t> G3Calculator::ViolatingPairCount(
     violating += size * (size - 1);
     const int32_t begin = lhs.class_begin(cls);
     const int32_t class_rows = lhs.class_end(cls) - begin;
-    kernel_->gather_groups(probe_.data(), coarse_rows.data() + begin,
-                           class_rows, base, groups);
+    GatherGroups(probe_.data(), coarse_rows.data() + begin, class_rows, base,
+                 groups);
     int64_t touched_count = 0;
     for (int32_t i = 0; i < class_rows; ++i) {
       const int32_t fine_cls = groups[i];
@@ -205,8 +205,8 @@ StatusOr<int64_t> G3Calculator::ViolatingRowCount(
     const int64_t size = lhs.class_size(cls);
     const int32_t begin = lhs.class_begin(cls);
     const int32_t class_rows = lhs.class_end(cls) - begin;
-    kernel_->gather_groups(probe_.data(), coarse_rows.data() + begin,
-                           class_rows, base, groups);
+    GatherGroups(probe_.data(), coarse_rows.data() + begin, class_rows, base,
+                 groups);
     // The class stays whole iff some subclass has the full class size.
     bool whole = false;
     int64_t touched_count = 0;

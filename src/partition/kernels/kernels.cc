@@ -1,9 +1,5 @@
 #include "partition/kernels/kernels.h"
 
-#include <string_view>
-
-#include "util/logging.h"
-
 namespace tane {
 namespace {
 
@@ -12,12 +8,13 @@ namespace {
 // ~16 rows ahead hides most of an L2 hit and a useful fraction of an LLC
 // hit without evicting anything the next few iterations need. Measured as
 // the knee of the distance sweep on the 5k/100k-row bench datasets;
-// documented in DESIGN.md §10.
+// documented in DESIGN.md §14.
 constexpr int64_t kPrefetchDistance = 16;
 
-void LabelRowsScalar(int32_t* probe, const int32_t* rows,
-                     const int32_t* offsets, int64_t num_classes,
-                     int32_t base) {
+}  // namespace
+
+void LabelRows(int32_t* probe, const int32_t* rows, const int32_t* offsets,
+               int64_t num_classes, int32_t base) {
   const int64_t member_rows = offsets[num_classes];
   for (int64_t cls = 0; cls < num_classes; ++cls) {
     const int32_t label = base + static_cast<int32_t>(cls);
@@ -31,8 +28,8 @@ void LabelRowsScalar(int32_t* probe, const int32_t* rows,
   }
 }
 
-void GatherGroupsScalar(const int32_t* probe, const int32_t* rows, int64_t n,
-                        int32_t base, int32_t* groups) {
+void GatherGroups(const int32_t* probe, const int32_t* rows, int64_t n,
+                  int32_t base, int32_t* groups) {
   int64_t i = 0;
   for (; i + 4 <= n; i += 4) {
     if (i + kPrefetchDistance + 3 < n) {
@@ -47,156 +44,6 @@ void GatherGroupsScalar(const int32_t* probe, const int32_t* rows, int64_t n,
     groups[i + 3] = probe[rows[i + 3]] - base;
   }
   for (; i < n; ++i) groups[i] = probe[rows[i]] - base;
-}
-
-constexpr KernelOps kScalarOps = {KernelKind::kScalar, "scalar",
-                                  &LabelRowsScalar, &GatherGroupsScalar};
-
-}  // namespace
-
-// Implemented in kernels_avx2.cc / kernels_neon.cc; each returns nullptr
-// when the TU was compiled for a different architecture or the running CPU
-// lacks the ISA.
-const KernelOps* GetAvx2KernelOps();
-const KernelOps* GetNeonKernelOps();
-
-StatusOr<KernelKind> ParseKernelKind(const std::string& name) {
-  if (name == "auto" || name.empty()) return KernelKind::kAuto;
-  if (name == "scalar") return KernelKind::kScalar;
-  if (name == "avx2") return KernelKind::kAvx2;
-  if (name == "neon") return KernelKind::kNeon;
-  return Status::InvalidArgument(
-      "unknown kernel '" + name + "' (expected auto, scalar, avx2, or neon)");
-}
-
-std::string_view KernelKindName(KernelKind kind) {
-  switch (kind) {
-    case KernelKind::kAuto:
-      return "auto";
-    case KernelKind::kScalar:
-      return "scalar";
-    case KernelKind::kAvx2:
-      return "avx2";
-    case KernelKind::kNeon:
-      return "neon";
-  }
-  return "unknown";
-}
-
-bool KernelIsAvailable(KernelKind kind) {
-  switch (kind) {
-    case KernelKind::kAuto:
-    case KernelKind::kScalar:
-      return true;
-    case KernelKind::kAvx2:
-      return GetAvx2KernelOps() != nullptr;
-    case KernelKind::kNeon:
-      return GetNeonKernelOps() != nullptr;
-  }
-  return false;
-}
-
-const KernelOps* DefaultKernel() {
-  // The dispatch decision is pure (CPUID never changes), so a
-  // race-free-by-value static is all the "once at startup" needed.
-  static const KernelOps* const kDefault = [] {
-    if (const KernelOps* ops = GetAvx2KernelOps()) return ops;
-    if (const KernelOps* ops = GetNeonKernelOps()) return ops;
-    return &kScalarOps;
-  }();
-  return kDefault;
-}
-
-const KernelOps* ResolveKernel(KernelKind kind) {
-  switch (kind) {
-    case KernelKind::kAuto:
-      return DefaultKernel();
-    case KernelKind::kScalar:
-      return &kScalarOps;
-    case KernelKind::kAvx2:
-      if (const KernelOps* ops = GetAvx2KernelOps()) return ops;
-      break;
-    case KernelKind::kNeon:
-      if (const KernelOps* ops = GetNeonKernelOps()) return ops;
-      break;
-  }
-  TANE_LOG(Warning) << "kernel '" << KernelKindName(kind)
-                    << "' is not available on this CPU; falling back to "
-                       "the scalar kernel";
-  return &kScalarOps;
-}
-
-std::vector<const KernelOps*> AvailableKernels() {
-  std::vector<const KernelOps*> kernels{&kScalarOps};
-  if (const KernelOps* ops = GetAvx2KernelOps()) kernels.push_back(ops);
-  if (const KernelOps* ops = GetNeonKernelOps()) kernels.push_back(ops);
-  return kernels;
-}
-
-bool RadixLabeler::EnsureCapacity(int64_t member_rows) {
-  const size_t needed = static_cast<size_t>(member_rows);
-  if (bucketed_rows_.size() >= needed) return false;
-  bucketed_rows_.resize(needed);
-  bucketed_labels_.resize(needed);
-  return true;
-}
-
-void RadixLabeler::LabelRows(const KernelOps& ops, int32_t* probe,
-                             int64_t probe_rows, const int32_t* rows,
-                             const int32_t* offsets, int64_t num_classes,
-                             int32_t base) {
-  const int64_t member_rows = offsets[num_classes];
-  if (!ShouldUse(probe_rows, member_rows)) {
-    ops.label_rows(probe, rows, offsets, num_classes, base);
-    return;
-  }
-  ++radix_labelings_;
-
-  // Shift so every bucket covers at most probe_rows / kBuckets rows of the
-  // probe table (a contiguous, cache-sized window).
-  int shift = 0;
-  while ((probe_rows - 1) >> shift >= kBuckets) ++shift;
-
-  // Pass 1: bucket histogram over the flat member-row array (sequential).
-  int32_t counts[kBuckets] = {};
-  for (int64_t i = 0; i < member_rows; ++i) {
-    ++counts[static_cast<uint32_t>(rows[i]) >> shift];
-  }
-  // Exclusive prefix sum -> running cursors; bucket_ends_ keeps the final
-  // boundaries for the scatter pass.
-  int32_t cursors[kBuckets];
-  int32_t total = 0;
-  for (int b = 0; b < kBuckets; ++b) {
-    cursors[b] = total;
-    total += counts[b];
-    bucket_ends_[b + 1] = total;
-  }
-  bucket_ends_[0] = 0;
-
-  // Pass 2: walk the CSR layout once, streaming the (row, label) pairs into
-  // their buckets — SoA, so the final scatter reads two dense arrays.
-  int32_t* const brow = bucketed_rows_.data();
-  int32_t* const blabel = bucketed_labels_.data();
-  for (int64_t cls = 0; cls < num_classes; ++cls) {
-    const int32_t label = base + static_cast<int32_t>(cls);
-    const int32_t end = offsets[cls + 1];
-    for (int32_t i = offsets[cls]; i < end; ++i) {
-      const int32_t row = rows[i];
-      const int32_t at = cursors[static_cast<uint32_t>(row) >> shift]++;
-      brow[at] = row;
-      blabel[at] = label;
-    }
-  }
-
-  // Pass 3: per bucket, scatter labels into the bucket's small window of
-  // the probe table. Order within a bucket is arbitrary — each row gets
-  // exactly one label — so the reordering is invisible in the result.
-  for (int b = 0; b < kBuckets; ++b) {
-    const int32_t end = bucket_ends_[b + 1];
-    for (int32_t i = bucket_ends_[b]; i < end; ++i) {
-      probe[brow[i]] = blabel[i];
-    }
-  }
 }
 
 }  // namespace tane

@@ -1,148 +1,27 @@
 #ifndef TANE_PARTITION_KERNELS_KERNELS_H_
 #define TANE_PARTITION_KERNELS_KERNELS_H_
 
-#include <array>
 #include <cstdint>
-#include <string>
-#include <vector>
-
-#include "util/status.h"
 
 namespace tane {
 
-/// Which data-parallel implementation of the partition-product / g3 hot
-/// loops to use. kAuto picks the widest implementation the running CPU
-/// supports (checked once at startup); the explicit kinds exist for the
-/// --kernel= override, the differential-equivalence tests, and for forcing
-/// the portable path under sanitizers. Every kernel computes the exact same
-/// integer stream — discovery output is bit-identical across kinds (see
-/// DESIGN.md §10) — so the kind is a scheduling knob, never part of the
-/// checkpoint config fingerprint.
-enum class KernelKind {
-  kAuto = 0,
-  kScalar,  ///< portable: 4x-unrolled loops with software prefetch
-  kAvx2,    ///< x86-64: 8-wide SIMD gather/compare probe phase
-  kNeon,    ///< aarch64: 4-wide lane loads + vector subtract
-};
-
-/// The two hot primitives every kernel provides. Both operate on the flat
-/// SoA (row_id, class_label) stream of the probe-table algorithm:
+/// The two hot loops of the probe-table algorithm, shared by
+/// PartitionProduct and G3Calculator. Both operate on the flat SoA
+/// (row_id, class_label) stream:
 ///
-///  * label_rows — pass 1 of Multiply and the g3 labeling pass: walk a
+///  * LabelRows — pass 1 of Multiply and the g3 labeling pass: walk a
 ///    partition's CSR layout and scatter `base + class` into probe[row].
-///    Write order is irrelevant (each row is labeled once), which is what
-///    lets the radix variant reorder it for locality.
-///  * gather_groups — the probe phase: groups[i] = probe[rows[i]] - base
-///    for a contiguous run of member rows. The result is the class-label
-///    half of the SoA stream; negative values mean "stale epoch or
-///    singleton", and the caller's branch-free scatter consumes them
-///    without a conditional.
+///  * GatherGroups — the probe phase: groups[i] = probe[rows[i]] - base
+///    for a contiguous run of member rows. Negative values mean "stale
+///    epoch or singleton", and the caller's branch-free scatter consumes
+///    them without a conditional.
 ///
-/// Function pointers instead of virtual calls: the dispatch decision is
-/// made once per run, the table is immutable, and the calls inline nothing
-/// anyway (they loop over thousands of rows).
-struct KernelOps {
-  KernelKind kind;
-  const char* name;
-  void (*label_rows)(int32_t* probe, const int32_t* rows,
-                     const int32_t* offsets, int64_t num_classes,
-                     int32_t base);
-  void (*gather_groups)(const int32_t* probe, const int32_t* rows, int64_t n,
-                        int32_t base, int32_t* groups);
-};
+/// Plain scalar loops with software prefetch (DESIGN.md §14).
+void LabelRows(int32_t* probe, const int32_t* rows, const int32_t* offsets,
+               int64_t num_classes, int32_t base);
 
-/// Parses a --kernel= / TaneConfig::kernel value ("auto", "scalar", "avx2",
-/// "neon"). Unknown names are kInvalidArgument.
-StatusOr<KernelKind> ParseKernelKind(const std::string& name);
-
-/// Canonical name of a kind ("auto" included).
-std::string_view KernelKindName(KernelKind kind);
-
-/// True when the running process can execute `kind` (kScalar and kAuto are
-/// always available; kAvx2 needs an x86-64 CPU with AVX2; kNeon needs
-/// aarch64).
-bool KernelIsAvailable(KernelKind kind);
-
-/// Resolves a kind to its implementation. kAuto returns the widest
-/// available kernel; an explicitly requested kernel the hardware cannot run
-/// falls back to scalar with one warning — the portable path is always
-/// correct, and tests force every named kind on every platform. Never
-/// returns nullptr; the returned ops' `name` reflects what actually
-/// dispatched (the fallback reports "scalar").
-const KernelOps* ResolveKernel(KernelKind kind);
-
-/// The kernel kAuto resolves to, decided once per process.
-const KernelOps* DefaultKernel();
-
-/// Every kernel the running process can execute (scalar first). The
-/// differential-equivalence tests iterate this.
-std::vector<const KernelOps*> AvailableKernels();
-
-/// Cache-conscious labeling for huge partitions: instead of scattering
-/// labels across a probe table much larger than the cache, the (row_id,
-/// class_label) stream is first radix-bucketed by row-id high bits into SoA
-/// scratch (sequential-ish writes through 256 bucket cursors), then each
-/// bucket — whose rows all land in one small window of the probe table — is
-/// scattered locally. Labeling order changes, the resulting table does not,
-/// so outputs stay bit-identical. Auto-selected by PartitionProduct when
-/// the probe span outgrows kDefaultMinProbeBytes (huge low-level classes);
-/// the threshold is overridable so tests can force the path on small
-/// inputs.
-///
-/// Not thread-safe; owned per worker next to the other product scratch.
-class RadixLabeler {
- public:
-  static constexpr int kBuckets = 256;
-  /// Probe spans below 2 MiB sit comfortably in L2, where the direct
-  /// scatter is already cache-resident and the radix detour only adds
-  /// passes.
-  static constexpr int64_t kDefaultMinProbeBytes = int64_t{1} << 21;
-
-  /// True when labeling `member_rows` rows into a probe table over
-  /// `probe_rows` rows should take the radix path.
-  bool ShouldUse(int64_t probe_rows, int64_t member_rows) const {
-    return probe_rows * static_cast<int64_t>(sizeof(int32_t)) >=
-               min_probe_bytes_ &&
-           member_rows >= kBuckets;
-  }
-
-  /// Grows the SoA scratch to hold `member_rows` entries. Returns true when
-  /// a heap allocation happened (the caller counts it); sized up front by
-  /// PartitionProduct so steady-state products allocate nothing.
-  bool EnsureCapacity(int64_t member_rows);
-
-  /// Radix-bucketed equivalent of ops.label_rows over the same CSR walk.
-  /// Requires EnsureCapacity(offsets[num_classes]) beforehand.
-  void LabelRows(const KernelOps& ops, int32_t* probe, int64_t probe_rows,
-                 const int32_t* rows, const int32_t* offsets,
-                 int64_t num_classes, int32_t base);
-
-  /// Lowers the auto-select threshold; tests force the radix path on small
-  /// partitions with value 0.
-  void set_min_probe_bytes_for_testing(int64_t bytes) {
-    min_probe_bytes_ = bytes;
-  }
-
-  int64_t min_probe_bytes() const { return min_probe_bytes_; }
-
-  /// Times LabelRows took the radix path (observability for tests).
-  int64_t radix_labelings() const { return radix_labelings_; }
-
-  /// Bytes retained by the SoA bucket scratch, for budget accounting.
-  int64_t ScratchBytes() const {
-    return static_cast<int64_t>(
-        (bucketed_rows_.capacity() + bucketed_labels_.capacity()) *
-        sizeof(int32_t));
-  }
-
- private:
-  // SoA halves of the bucketed (row_id, class_label) stream.
-  std::vector<int32_t> bucketed_rows_;
-  std::vector<int32_t> bucketed_labels_;
-  std::array<int32_t, kBuckets + 1> bucket_ends_{};
-  int64_t min_probe_bytes_ = kDefaultMinProbeBytes;
-  int64_t radix_labelings_ = 0;
-};
+void GatherGroups(const int32_t* probe, const int32_t* rows, int64_t n,
+                  int32_t base, int32_t* groups);
 
 }  // namespace tane
 

@@ -4,6 +4,7 @@
 #include <string>
 
 #include "obs/metrics.h"
+#include "partition/kernels/kernels.h"
 
 namespace tane {
 namespace {
@@ -15,10 +16,10 @@ namespace {
 // it the compiler must order every cursor load after the previous bucket
 // store and the loop cannot pipeline.
 //
-// kGathered selects the group source: the kernel-gathered SoA label stream
-// (large-probe regime, SIMD gather + prefetch) or direct probe-table loads
-// (cache-resident regime, where the extra pass through groups[] costs more
-// than it saves).
+// kGathered selects the group source: the SoA label stream filled by
+// GatherGroups (large-probe regime, unrolled + prefetched) or direct
+// probe-table loads (cache-resident regime, where the extra pass through
+// groups[] costs more than it saves).
 //
 // kChained breaks the scatter's store-to-load forwarding chain: the
 // last-hit group's counter lives in registers and is flushed to memory one
@@ -122,21 +123,30 @@ int64_t ScatterWithCounts(const int32_t* __restrict rows, int32_t begin,
 // datasets (few-class paper attributes vs many-class near-key attributes).
 constexpr int64_t kChainedMaxClasses = 64;
 
+// Probe tables of at least this many bytes take the gathered path: below
+// 2 MiB the table sits comfortably in L2 and direct probe loads win.
+constexpr int64_t kGatherMinProbeBytes = int64_t{1} << 21;
+
 }  // namespace
 
-PartitionProduct::PartitionProduct(int64_t num_rows)
-    : num_rows_(num_rows), probe_(num_rows, -1) {
-  // Pre-warm the scratch arrays to their row-count bounds (a partition over
-  // |r| rows has at most |r| classes and |r| member rows). Lazy growth in
-  // Multiply would be counted as allocations, and since each worker owns
-  // its own PartitionProduct, lazy warm-up makes the run-wide allocation
-  // count scale with the worker count; paying it up front keeps
-  // allocations-per-product thread-count-invariant (and 0 in steady state).
-  group_size_.assign(num_rows + 2, 0);
-  touched_.assign(num_rows + 2, 0);
-  groups_.assign(num_rows, 0);
-  bucket_data_.resize(2 * num_rows);
-  WarmRadixScratch();
+PartitionProduct::PartitionProduct(int64_t num_rows) : num_rows_(num_rows) {
+  // Paid up front and not counted: each worker owns its own
+  // PartitionProduct, so counting (or lazily growing) scratch would make
+  // the run-wide allocation count scale with the worker count.
+  SizeScratch();
+}
+
+void PartitionProduct::SizeScratch() {
+  // A partition over |r| rows has at most |r| classes and |r| member rows.
+  // +2 on the per-class arrays: one slot for the trash bucket, and one more
+  // so the touched list's branch-free unconditional store stays in bounds
+  // after every group (including trash) has been recorded. The bucket arena
+  // holds `a`'s member rows plus a trash bucket for a full `b` class.
+  probe_.assign(num_rows_, -1);
+  groups_.assign(num_rows_, 0);
+  group_size_.assign(num_rows_ + 2, 0);
+  touched_.assign(num_rows_ + 2, 0);
+  bucket_data_.resize(2 * num_rows_);
 }
 
 void PartitionProduct::CountAllocation() {
@@ -144,19 +154,6 @@ void PartitionProduct::CountAllocation() {
   if (metrics_ != nullptr) {
     metrics_->Add(metrics_shard_, obs::kProductAllocations, 1);
   }
-}
-
-void PartitionProduct::WarmRadixScratch() {
-  // Pure function of num_rows_ and the radix threshold, never of the call
-  // sequence: workers constructed alike stay allocation-identical.
-  if (radix_.ShouldUse(num_rows_, num_rows_)) {
-    radix_.EnsureCapacity(num_rows_);
-  }
-}
-
-void PartitionProduct::set_radix_min_probe_bytes_for_testing(int64_t bytes) {
-  radix_.set_min_probe_bytes_for_testing(bytes);
-  WarmRadixScratch();
 }
 
 StatusOr<StrippedPartition> PartitionProduct::Multiply(
@@ -177,36 +174,14 @@ StatusOr<StrippedPartition> PartitionProduct::Multiply(
     // fit rather than corrupt memory or abort. Growth discards any live
     // labels, so token reuse is off until the next labeling pass.
     num_rows_ = a.num_rows();
-    probe_.assign(num_rows_, -1);
-    groups_.assign(num_rows_, 0);
+    SizeScratch();
     probe_base_ = 0;
     labeled_classes_ = 0;
     last_a_token_ = 0;
-    WarmRadixScratch();
     CountAllocation();
   }
   const int32_t min_size = a.stripped() ? 2 : 1;
   const int64_t a_classes = a.num_classes();
-
-  // +2: one slot for the trash bucket, and one more so the touched list's
-  // branch-free unconditional store stays in bounds after every group
-  // (including trash) has been recorded.
-  if (static_cast<int64_t>(group_size_.size()) < a_classes + 2) {
-    group_size_.assign(a_classes + 2, 0);
-    touched_.assign(a_classes + 2, 0);
-    CountAllocation();
-  }
-  // The trash bucket (see pass 2) needs capacity for a full `b` class after
-  // the real buckets, whose combined capacity is `a`'s member-row count.
-  if (bucket_data_.size() <
-      a.row_ids().size() + b.row_ids().size()) {
-    bucket_data_.resize(a.row_ids().size() + b.row_ids().size());
-    CountAllocation();
-  }
-  if (groups_.size() < b.row_ids().size()) {
-    groups_.assign(b.row_ids().size(), 0);
-    CountAllocation();
-  }
 
   const std::vector<int32_t>& a_rows = a.row_ids();
   int32_t* const probe = probe_.data();
@@ -230,9 +205,8 @@ StatusOr<StrippedPartition> PartitionProduct::Multiply(
       probe_.assign(probe_.size(), -1);
       probe_base_ = 0;
     }
-    radix_.LabelRows(*kernel_, probe, num_rows_, a_rows.data(),
-                     a.class_offsets().data(), a_classes,
-                     static_cast<int32_t>(probe_base_));
+    LabelRows(probe, a_rows.data(), a.class_offsets().data(), a_classes,
+              static_cast<int32_t>(probe_base_));
     labeled_classes_ = a_classes;
     last_a_token_ = a_token;
     rows_scanned += static_cast<int64_t>(a_rows.size());
@@ -247,34 +221,12 @@ StatusOr<StrippedPartition> PartitionProduct::Multiply(
 
   std::vector<int32_t> out_rows;
   std::vector<int32_t> out_offsets;
-  if (has_provided_) {
-    // Planner-assigned buffers (see ProvideOutputBuffers): consumed here so
-    // a later un-planned call falls back to the pool path.
-    out_rows = std::move(provided_rows_);
-    out_offsets = std::move(provided_offsets_);
-    provided_rows_ = {};
-    provided_offsets_ = {};
-    has_provided_ = false;
-  } else if (pool_ != nullptr) {
-    out_rows = pool_->Acquire(pool_slot_, row_bound);
-    out_offsets = pool_->Acquire(pool_slot_, offsets_bound);
-  }
-  if (out_rows.capacity() < row_bound) {
-    out_rows.clear();  // don't let reserve copy recycled contents
+  if (row_bound > 0) {
     out_rows.reserve(row_bound);
     CountAllocation();
   }
-  if (out_offsets.capacity() < offsets_bound) {
-    out_offsets.clear();
-    out_offsets.reserve(offsets_bound);
-    CountAllocation();
-  }
-  // Expose the whole row bound up front (within the reserved capacity — no
-  // reallocation) and trim to size at the end. Pooled buffers arrive with
-  // their recycled size, so in steady state this resize shrinks or barely
-  // grows instead of zero-filling the full bound.
-  out_rows.resize(row_bound);
-  out_offsets.clear();
+  out_offsets.reserve(offsets_bound);
+  CountAllocation();
   out_offsets.push_back(0);
   int32_t out_size = 0;
 
@@ -287,17 +239,19 @@ StatusOr<StrippedPartition> PartitionProduct::Multiply(
   // extends to the trash bucket with no special-casing — one select per
   // row, every store unconditional. Trash is filtered at emission, so the
   // state is exactly as if invalid rows were skipped. Qualifying buckets
-  // then stream into the output with a straight contiguous copy.
+  // then stream into the output with a straight contiguous copy (appends
+  // within the reserved capacity: no reallocation, and no zero-fill of the
+  // row bound).
   //
   // Two cache-conscious regimes, both pure functions of operand shape (so
-  // the output is identical for every kernel and thread count):
+  // the output is identical for every thread count):
   //
-  //  * Group source. When the probe table outgrows the cache (the same
-  //    threshold that turns on radix labeling), the kernel gathers all of
-  //    `b`'s labels into the SoA group stream first — SIMD gather + software
-  //    prefetch overlap the random probe loads that an in-order walk would
-  //    stall on. Cache-resident tables skip the gather: probe loads hit L1
-  //    and the extra pass through groups[] costs more than it saves.
+  //  * Group source. When the probe table outgrows the cache
+  //    (kGatherMinProbeBytes), GatherGroups collects all of `b`'s labels
+  //    into the SoA group stream first — its unrolled, prefetched loads
+  //    overlap the random probe misses that an in-order walk would stall
+  //    on. Cache-resident tables skip the gather: probe loads hit L1 and
+  //    the extra pass through groups[] costs more than it saves.
   //
   //  * Emission. When `a` has few classes (the common low-level case), an
   //    index-order scan over all `a` classes per `b` class recovers the
@@ -309,7 +263,7 @@ StatusOr<StrippedPartition> PartitionProduct::Multiply(
   //    groups in the touched list, and emission walks that list in
   //    first-seen order. The order differs between the two strategies, but
   //    the choice depends only on the operands' class/row counts, never on
-  //    the kernel or any runtime state.
+  //    any runtime state.
   const std::vector<int32_t>& b_rows = b.row_ids();
   const int32_t* const b_rows_data = b_rows.data();
   const int32_t* const bucket_base = a.class_offsets().data();
@@ -318,16 +272,15 @@ StatusOr<StrippedPartition> PartitionProduct::Multiply(
   int32_t* const touched = touched_.data();
   int32_t* const bucket_data = bucket_data_.data();
   int32_t* const groups = groups_.data();
-  int32_t* const out_rows_data = out_rows.data();
   rows_scanned += static_cast<int64_t>(b_rows.size());
 
   const bool gathered = num_rows_ * static_cast<int64_t>(sizeof(int32_t)) >=
-                        radix_.min_probe_bytes();
+                        kGatherMinProbeBytes;
   if (gathered) {
-    // One gather over the whole member-row array: maximal SIMD runs, one
-    // dispatch. groups_[i] then lines up with b_rows[i] in every class.
-    kernel_->gather_groups(probe, b_rows_data,
-                           static_cast<int64_t>(b_rows.size()), base, groups);
+    // One gather over the whole member-row array; groups_[i] then lines up
+    // with b_rows[i] in every class.
+    GatherGroups(probe, b_rows_data, static_cast<int64_t>(b_rows.size()),
+                 base, groups);
   }
   const bool index_scan =
       (a_classes + 1) * b.num_classes() <= static_cast<int64_t>(b_rows.size());
@@ -357,9 +310,8 @@ StatusOr<StrippedPartition> PartitionProduct::Multiply(
         const int32_t count = cursor[g] - bucket_begin;
         cursor[g] = bucket_begin;
         if (count < min_size) continue;
-        std::copy(bucket_data + bucket_begin,
-                  bucket_data + bucket_begin + count,
-                  out_rows_data + out_size);
+        out_rows.insert(out_rows.end(), bucket_data + bucket_begin,
+                        bucket_data + bucket_begin + count);
         out_size += count;
         out_offsets.push_back(out_size);
       }
@@ -388,13 +340,12 @@ StatusOr<StrippedPartition> PartitionProduct::Multiply(
         group_size[group] = 0;
         if (count < min_size || group == trash_group) continue;
         const int32_t* const bucket = bucket_data + bucket_base[group];
-        std::copy(bucket, bucket + count, out_rows_data + out_size);
+        out_rows.insert(out_rows.end(), bucket, bucket + count);
         out_size += count;
         out_offsets.push_back(out_size);
       }
     }
   }
-  out_rows.resize(out_size);
 
   rows_scanned_ += rows_scanned;
   if (metrics_ != nullptr) {

@@ -5,8 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "partition/buffer_pool.h"
-#include "partition/kernels/kernels.h"
 #include "partition/stripped_partition.h"
 #include "util/status.h"
 
@@ -18,80 +16,44 @@ class MetricsRegistry;
 
 /// Computes partition products π' · π'' = π_{X∪Y} (Lemma 3) with the
 /// linear-time probe-table algorithm of the TANE paper, restructured as two
-/// data-parallel kernels (src/partition/kernels/):
+/// flat passes (the loops in src/partition/kernels/):
 ///
-///  * pass 1 labels the rows of `a` with epoch-tagged class ids — a scatter
-///    dispatched to the selected kernel, or to the cache-conscious radix
-///    variant when the probe table outgrows the cache;
+///  * pass 1 labels the rows of `a` with epoch-tagged class ids (LabelRows);
 ///  * pass 2 scatters `b`'s rows into a flat bucket arena, branch-free per
 ///    row (invalid rows are predicated onto a trash bucket) and with the
 ///    per-bucket counter chain broken through registers. When the probe
 ///    table outgrows the cache, the labels are first gathered into a flat
-///    SoA group stream by the kernel (SIMD gather/compare on AVX2, unrolled
-///    prefetched scalar otherwise) so the random probe loads overlap;
-///    cache-resident tables probe directly. See product.cc for the two
-///    emission strategies (index-order scan vs first-seen touched list),
-///    selected by operand shape alone.
+///    SoA group stream (GatherGroups, unrolled and prefetched) so the
+///    random probe loads overlap; cache-resident tables probe directly.
+///    See product.cc for the two emission strategies (index-order scan vs
+///    first-seen touched list), selected by operand shape alone.
 ///
 /// All scratch is flat arrays — an O(|r|) epoch-labelled probe table (no
 /// reset pass between calls), the SoA group stream, a bucket arena laid out
 /// by `a`'s own CSR offsets (each bucket's capacity is exactly its `a`
-/// class size), and a per-class cursor/count array — owned by this object
-/// and reused across calls. Surviving buckets stream into the output with
-/// contiguous copies, so Multiply performs no per-class heap allocations.
+/// class size), and a per-class cursor/count array — sized once by the
+/// constructor from `num_rows` and reused across calls. Surviving buckets
+/// stream into the output with contiguous copies, so Multiply performs no
+/// per-class heap allocations: its only allocations are the output's rows
+/// and offsets arrays, and allocations() counts them — two per product
+/// (one when an operand has no member rows, since an empty rows array
+/// allocates nothing).
 ///
-/// Every kernel computes the same integer stream, and every shape-dependent
-/// strategy choice is a pure function of the operands, so the output (and
-/// the allocation count) is bit-identical across kernels and thread counts;
-/// the equivalence fuzz suite in tests/kernel_equivalence_test.cc enforces
-/// this.
-///
-/// With a PartitionBufferPool attached (set_buffer_pool), the output arrays
-/// themselves come from recycled buffers of released partitions; once the
-/// pool has warmed up, steady-state products are allocation-free —
-/// allocations() counts the heap allocations Multiply did have to perform
-/// (scratch growth or an undersized pooled buffer) and reads 0 in steady
-/// state. Instances are not thread-safe; parallel callers keep one
-/// PartitionProduct per worker (see core/tane.cc), each acquiring from its
-/// own pool slot.
+/// Every shape-dependent strategy choice is a pure function of the
+/// operands, so the output (and the allocation count) is bit-identical
+/// across thread counts; tests/product_differential_test.cc checks the
+/// output against a naive product. Instances are not thread-safe; parallel
+/// callers keep one PartitionProduct per worker (see core/tane.cc).
 ///
 /// Both operands must be over the same number of rows and use the same
 /// representation (stripped or unstripped); the result uses that
 /// representation as well. Operands over more rows than the constructed
-/// size are fine — the probe table grows to fit — but operands that
-/// disagree with each other are rejected with kInvalidArgument.
+/// size are fine — the scratch grows to fit, counted as one more
+/// allocation — but operands that disagree with each other are rejected
+/// with kInvalidArgument.
 class PartitionProduct {
  public:
   explicit PartitionProduct(int64_t num_rows);
-
-  /// Output buffers are acquired from `pool` (slot `slot`) instead of the
-  /// heap. The pool must outlive this object; pass nullptr to detach.
-  void set_buffer_pool(PartitionBufferPool* pool, int slot = 0) {
-    pool_ = pool;
-    pool_slot_ = slot;
-  }
-
-  /// Selects the dispatch kernel for the label/gather passes. Defaults to
-  /// DefaultKernel() (the widest ISA the CPU supports). Not owned; must be
-  /// one of the process-lifetime tables from partition/kernels.
-  void set_kernel(const KernelOps* kernel) { kernel_ = kernel; }
-
-  const KernelOps* kernel() const { return kernel_; }
-
-  /// Hands the next Multiply its output buffers directly, bypassing the
-  /// pool. Used by the parallel executor's window planner, which assigns
-  /// pooled buffers to candidates in node order *before* the window starts —
-  /// per-worker pool slots warm up independently, so slot-local Acquire
-  /// would make the allocation count drift with the thread count, while a
-  /// coordinator-planned assignment is a pure function of the candidate
-  /// list. Consumed (and cleared) by the next Multiply call; undersized
-  /// buffers are still grown and counted as allocations, deterministically.
-  void ProvideOutputBuffers(std::vector<int32_t> rows,
-                            std::vector<int32_t> offsets) {
-    provided_rows_ = std::move(rows);
-    provided_offsets_ = std::move(offsets);
-    has_provided_ = true;
-  }
 
   /// Mirrors allocation counts (kProductAllocations), the rows-scanned /
   /// label-reuse counters, and the class-count / member-row histograms of
@@ -120,9 +82,9 @@ class PartitionProduct {
                                        const StrippedPartition& b,
                                        uint64_t a_token = 0);
 
-  /// Heap allocations performed by Multiply since construction (scratch
-  /// growth plus output buffers the pool could not cover). 0 per product in
-  /// steady state.
+  /// Heap allocations performed by Multiply since construction: the
+  /// output arrays of every product, plus scratch growth for operands over
+  /// more rows than the constructed size.
   int64_t allocations() const { return allocations_; }
 
   /// Returns allocations() and resets the counter (for periodic merges
@@ -156,25 +118,14 @@ class PartitionProduct {
 
   int64_t probe_base_for_testing() const { return probe_base_; }
 
-  /// Lowers the radix auto-select threshold (see RadixLabeler); the
-  /// equivalence tests force the radix path on small partitions. Re-warms
-  /// the radix scratch so allocation counts stay deterministic.
-  void set_radix_min_probe_bytes_for_testing(int64_t bytes);
-
-  int64_t radix_labelings_for_testing() const {
-    return radix_.radix_labelings();
-  }
-
   /// Bytes retained by the reusable scratch arrays (probe table, SoA group
-  /// stream, per-class size arrays, radix buckets), for memory-budget
+  /// stream, per-class size arrays, bucket arena), for memory-budget
   /// accounting.
   int64_t ScratchBytes() const {
     return static_cast<int64_t>(
-               (probe_.capacity() + group_size_.capacity() +
-                touched_.capacity() + bucket_data_.capacity() +
-                groups_.capacity()) *
-               sizeof(int32_t)) +
-           radix_.ScratchBytes();
+        (probe_.capacity() + group_size_.capacity() + touched_.capacity() +
+         bucket_data_.capacity() + groups_.capacity()) *
+        sizeof(int32_t));
   }
 
  private:
@@ -182,11 +133,10 @@ class PartitionProduct {
   // registry is attached, the kProductAllocations shard counter with it.
   void CountAllocation();
 
-  // Pre-sizes the radix SoA scratch iff the probe span can ever trigger the
-  // radix path — decided from num_rows_ alone, so every worker's scratch
-  // (and therefore the run-wide allocation count) is identical at any
-  // thread count.
-  void WarmRadixScratch();
+  // Sizes every scratch array to its bound for partitions over num_rows_
+  // rows (at most num_rows_ classes and member rows each), so Multiply
+  // never grows scratch lazily.
+  void SizeScratch();
 
   int64_t num_rows_;
   // probe_[row] = probe_base_ + class index within `a` for the currently
@@ -202,9 +152,8 @@ class PartitionProduct {
   int64_t labeled_classes_ = 0;
   // Content identity of the currently labeled `a` (0 = not reusable).
   uint64_t last_a_token_ = 0;
-  // SoA class-label stream for `b`'s member rows, filled by the kernel's
-  // gather in the large-probe regime and consumed by the branch-free
-  // scatter.
+  // SoA class-label stream for `b`'s member rows, filled by GatherGroups
+  // in the large-probe regime and consumed by the branch-free scatter.
   std::vector<int32_t> groups_;
   // Per-`a`-class scratch (sized classes + trash + 1): bucket cursors on
   // the index-scan emission path, bucket fill counts on the touched-list
@@ -223,16 +172,6 @@ class PartitionProduct {
   // (hence the a.rows + b.rows arena bound).
   std::vector<int32_t> bucket_data_;
 
-  const KernelOps* kernel_ = DefaultKernel();
-  RadixLabeler radix_;
-
-  // Buffers staged by ProvideOutputBuffers for the next Multiply.
-  std::vector<int32_t> provided_rows_;
-  std::vector<int32_t> provided_offsets_;
-  bool has_provided_ = false;
-
-  PartitionBufferPool* pool_ = nullptr;
-  int pool_slot_ = 0;
   obs::MetricsRegistry* metrics_ = nullptr;
   int metrics_shard_ = 0;
   int64_t allocations_ = 0;

@@ -87,16 +87,6 @@ class StrippedPartition {
   /// of `other` (π refines π'). O(member rows of both). Used by Lemma 1.
   bool Refines(const StrippedPartition& other) const;
 
-  /// A 64-bit hash of the full structural identity (row count,
-  /// representation, and both CSR arrays). Equal partitions hash equal;
-  /// used with a full structural compare by the interning PLI cache.
-  uint64_t StructuralHash() const;
-
-  /// Moves the CSR arrays out for buffer recycling, leaving this partition
-  /// empty (all singletons) but structurally valid.
-  void MoveBuffersInto(std::vector<int32_t>* row_ids,
-                       std::vector<int32_t>* class_offsets);
-
   /// Approximate heap footprint in bytes.
   int64_t EstimatedBytes() const {
     return static_cast<int64_t>((row_ids_.capacity() +
@@ -115,9 +105,9 @@ class StrippedPartition {
   friend class PartitionBuilder;
 
   /// Adopts already-built CSR arrays without validation; `class_offsets`
-  /// must satisfy the Create invariants. Used by PartitionProduct so pooled
-  /// buffers become the partition's storage with no copy and — unlike the
-  /// public constructors — no allocation for the initial {0} offsets.
+  /// must satisfy the Create invariants. Used by PartitionProduct so its
+  /// output arrays become the partition's storage with no copy and — unlike
+  /// the public constructors — no allocation for the initial {0} offsets.
   StrippedPartition(int64_t num_rows, bool stripped,
                     std::vector<int32_t> row_ids,
                     std::vector<int32_t> class_offsets)

@@ -1,7 +1,6 @@
 #include "partition/product.h"
 
 #include "gtest/gtest.h"
-#include "partition/buffer_pool.h"
 #include "partition/partition_builder.h"
 #include "tests/test_util.h"
 #include "util/random.h"
@@ -172,67 +171,18 @@ TEST(PartitionProductTest, MixedRepresentationsFail) {
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(PartitionProductTest, PooledOutputMatchesUnpooled) {
-  Relation relation = PaperFigure1Relation();
-  PartitionBufferPool pool(1);
-  PartitionProduct pooled(relation.num_rows());
-  pooled.set_buffer_pool(&pool, 0);
-  PartitionProduct plain(relation.num_rows());
-  for (int a = 0; a < relation.num_columns(); ++a) {
-    for (int b = a + 1; b < relation.num_columns(); ++b) {
-      StrippedPartition pa = PartitionBuilder::ForAttribute(relation, a);
-      StrippedPartition pb = PartitionBuilder::ForAttribute(relation, b);
-      StrippedPartition from_pool = pooled.Multiply(pa, pb).value();
-      // Exact equality, not just canonical equality: pooling must not change
-      // emission order.
-      EXPECT_EQ(from_pool, plain.Multiply(pa, pb).value()) << a << "," << b;
-      pool.Recycle(std::move(from_pool));
-    }
-  }
-}
-
-TEST(PartitionProductTest, SteadyStateProductsAreAllocationFree) {
-  Relation relation = PaperFigure1Relation();
-  PartitionBufferPool pool(1);
-  PartitionProduct product(relation.num_rows());
-  product.set_buffer_pool(&pool, 0);
-  const auto sweep = [&] {
-    for (int a = 0; a < relation.num_columns(); ++a) {
-      for (int b = a + 1; b < relation.num_columns(); ++b) {
-        StatusOr<StrippedPartition> result =
-            product.Multiply(PartitionBuilder::ForAttribute(relation, a),
-                             PartitionBuilder::ForAttribute(relation, b));
-        ASSERT_TRUE(result.ok());
-        pool.Recycle(std::move(result).value());
-      }
-    }
-  };
-  sweep();  // warm up: scratch grows and the pool fills
-  EXPECT_GT(product.TakeAllocations(), 0);
-  // Pooled capacities grow monotonically, so allocations reach exactly 0
-  // within a few sweeps and stay there.
-  int64_t steady_allocations = -1;
-  for (int attempt = 0; attempt < 5; ++attempt) {
-    sweep();
-    steady_allocations = product.TakeAllocations();
-    if (steady_allocations == 0) break;
-  }
-  EXPECT_EQ(steady_allocations, 0);
-  EXPECT_GT(pool.stats().reuses, 0);
-}
-
 TEST(PartitionProductTest, AllocationCounterWithoutPool) {
   Relation relation = PaperFigure1Relation();
   PartitionProduct product(relation.num_rows());
   StrippedPartition pa = PartitionBuilder::ForAttribute(relation, 1);
   StrippedPartition pb = PartitionBuilder::ForAttribute(relation, 2);
   ASSERT_TRUE(product.Multiply(pa, pb).ok());
-  // No pool attached: output buffers are heap allocations, and the counter
-  // says so.
-  EXPECT_GT(product.allocations(), 0);
+  // The scratch was sized by the constructor and is not counted; the
+  // product's rows and offsets arrays are the two heap allocations.
+  EXPECT_EQ(product.allocations(), 2);
   EXPECT_GT(product.ScratchBytes(), 0);
   // TakeAllocations drains the counter.
-  EXPECT_GT(product.TakeAllocations(), 0);
+  EXPECT_EQ(product.TakeAllocations(), 2);
   EXPECT_EQ(product.allocations(), 0);
 }
 

@@ -172,33 +172,5 @@ TEST(StrippedPartitionTest, UnstrippedStartRoundTrip) {
             unstripped.Canonicalized());
 }
 
-TEST(StrippedPartitionTest, StructuralHashAgreesWithEquality) {
-  StrippedPartition a = Make(4, {0, 1}, {0, 2});
-  StrippedPartition b = Make(4, {0, 1}, {0, 2});
-  EXPECT_EQ(a.StructuralHash(), b.StructuralHash());
-  // Different rows, different representation flag, different row counts:
-  // each should (overwhelmingly) change the hash.
-  EXPECT_NE(a.StructuralHash(), Make(4, {2, 3}, {0, 2}).StructuralHash());
-  EXPECT_NE(a.StructuralHash(),
-            Make(4, {0, 1}, {0, 2}, /*stripped=*/false).StructuralHash());
-  EXPECT_NE(a.StructuralHash(), Make(5, {0, 1}, {0, 2}).StructuralHash());
-  EXPECT_NE(StrippedPartition(4).StructuralHash(),
-            StrippedPartition(5).StructuralHash());
-}
-
-TEST(StrippedPartitionTest, MoveBuffersIntoLeavesValidEmptyPartition) {
-  StrippedPartition partition = Make(4, {0, 1, 2, 3}, {0, 2, 4});
-  std::vector<int32_t> rows;
-  std::vector<int32_t> offsets;
-  partition.MoveBuffersInto(&rows, &offsets);
-  EXPECT_EQ(rows, (std::vector<int32_t>{0, 1, 2, 3}));
-  EXPECT_EQ(offsets, (std::vector<int32_t>{0, 2, 4}));
-  // The source is now the empty (all-singleton) partition and still valid.
-  EXPECT_EQ(partition.num_classes(), 0);
-  EXPECT_EQ(partition.num_member_rows(), 0);
-  EXPECT_EQ(partition.Error(), 0);
-  EXPECT_EQ(partition, StrippedPartition(4));
-}
-
 }  // namespace
 }  // namespace tane

@@ -1,6 +1,8 @@
 #include <algorithm>
 
+#include "baselines/brute_force.h"
 #include "core/tane.h"
+#include "datasets/paper_datasets.h"
 #include "gtest/gtest.h"
 #include "tests/test_util.h"
 
@@ -268,6 +270,25 @@ TEST(TaneApproximateTest, ApproximateKeysStillExactKeys) {
     EXPECT_TRUE(key == AttributeSet::Of({0, 3}) ||
                 key == AttributeSet::Of({1, 3}))
         << key.ToString();
+  }
+}
+
+TEST(TaneApproximateTest, KeyPruningKeepsTheBruteForceResult) {
+  // 40 Adult stand-in rows at ε = 0.05 have keys with minimal AFDs whose
+  // left-hand sides lie above them in the lattice, so key pruning must not
+  // delete those keys in approximate mode.
+  StatusOr<Relation> relation =
+      MakePaperDataset(PaperDataset::kAdult, 40, /*seed=*/42);
+  ASSERT_TRUE(relation.ok()) << relation.status().ToString();
+  StatusOr<DiscoveryResult> expected = BruteForce::Discover(*relation, 0.05);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  for (const int threads : {1, 4}) {
+    TaneConfig config;
+    config.epsilon = 0.05;
+    config.num_threads = threads;
+    StatusOr<DiscoveryResult> result = Tane::Discover(*relation, config);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(FdStrings(result->fds), FdStrings(expected->fds)) << threads;
   }
 }
 
