@@ -1,8 +1,10 @@
 #include "core/partition_store.h"
 
 #include <fcntl.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <array>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
@@ -86,11 +88,6 @@ namespace {
 constexpr uint32_t kPartitionMagic = 0x54414E45;  // "TANE"
 
 template <typename T>
-void AppendPod(std::string* out, T value) {
-  out->append(reinterpret_cast<const char*>(&value), sizeof(value));
-}
-
-template <typename T>
 bool ReadPod(std::string_view* in, T* value) {
   if (in->size() < sizeof(T)) return false;
   std::memcpy(value, in->data(), sizeof(T));
@@ -98,64 +95,182 @@ bool ReadPod(std::string_view* in, T* value) {
   return true;
 }
 
+// The fixed-size head of a serialized partition: magic, stripped flag, row
+// count, member-row count, offset count — packed, no padding.
+constexpr size_t kHeaderBytes =
+    sizeof(uint32_t) + sizeof(uint8_t) + 3 * sizeof(int64_t);
+using HeaderBytes = std::array<char, kHeaderBytes>;
+
+struct PartitionHeader {
+  bool stripped = false;
+  int64_t num_rows = 0;
+  int64_t num_member_rows = 0;
+  int64_t num_offsets = 0;
+};
+
+HeaderBytes EncodeHeader(const StrippedPartition& partition) {
+  HeaderBytes header{};
+  char* out = header.data();
+  const auto put = [&out](auto value) {
+    std::memcpy(out, &value, sizeof(value));
+    out += sizeof(value);
+  };
+  put(kPartitionMagic);
+  put(static_cast<uint8_t>(partition.stripped() ? 1 : 0));
+  put(partition.num_rows());
+  put(static_cast<int64_t>(partition.row_ids().size()));
+  put(static_cast<int64_t>(partition.class_offsets().size()));
+  return header;
+}
+
+// Parses and sanity-checks a header off the front of `bytes`.
+Status DecodeHeader(std::string_view* bytes, PartitionHeader* header) {
+  uint32_t magic = 0;
+  uint8_t stripped = 0;
+  if (!ReadPod(bytes, &magic) || magic != kPartitionMagic) {
+    return Status::InvalidArgument("bad partition magic");
+  }
+  if (!ReadPod(bytes, &stripped) || !ReadPod(bytes, &header->num_rows) ||
+      !ReadPod(bytes, &header->num_member_rows) ||
+      !ReadPod(bytes, &header->num_offsets)) {
+    return Status::InvalidArgument("truncated partition header");
+  }
+  if (header->num_rows < 0 || header->num_member_rows < 0 ||
+      header->num_offsets < 1) {
+    return Status::InvalidArgument("corrupt partition header");
+  }
+  header->stripped = stripped != 0;
+  return Status::OK();
+}
+
+// The bytes of an int32 array as they are laid out on disk. Empty vectors
+// may have a null data(); a null, empty view is fine for Crc32 and iovec.
+std::string_view ArrayBytes(const std::vector<int32_t>& values) {
+  return values.empty()
+             ? std::string_view()
+             : std::string_view(reinterpret_cast<const char*>(values.data()),
+                                values.size() * sizeof(int32_t));
+}
+
 }  // namespace
 
 std::string SerializePartition(const StrippedPartition& partition) {
+  const HeaderBytes header = EncodeHeader(partition);
+  const std::string_view rows = ArrayBytes(partition.row_ids());
+  const std::string_view offsets = ArrayBytes(partition.class_offsets());
   std::string out;
-  const auto& rows = partition.row_ids();
-  const auto& offsets = partition.class_offsets();
-  out.reserve(32 + (rows.size() + offsets.size()) * sizeof(int32_t));
-  AppendPod(&out, kPartitionMagic);
-  AppendPod(&out, static_cast<uint8_t>(partition.stripped() ? 1 : 0));
-  AppendPod(&out, partition.num_rows());
-  AppendPod(&out, static_cast<int64_t>(rows.size()));
-  AppendPod(&out, static_cast<int64_t>(offsets.size()));
-  // Empty vectors may have a null data(); append/memcpy forbid that even
-  // for zero sizes.
-  if (!rows.empty()) {
-    out.append(reinterpret_cast<const char*>(rows.data()),
-               rows.size() * sizeof(int32_t));
-  }
-  if (!offsets.empty()) {
-    out.append(reinterpret_cast<const char*>(offsets.data()),
-               offsets.size() * sizeof(int32_t));
-  }
+  out.reserve(header.size() + rows.size() + offsets.size());
+  out.append(header.data(), header.size());
+  out.append(rows);
+  out.append(offsets);
   return out;
 }
 
 StatusOr<StrippedPartition> DeserializePartition(std::string_view bytes) {
-  uint32_t magic = 0;
-  uint8_t stripped = 0;
-  int64_t num_rows = 0, num_member_rows = 0, num_offsets = 0;
-  if (!ReadPod(&bytes, &magic) || magic != kPartitionMagic) {
-    return Status::InvalidArgument("bad partition magic");
-  }
-  if (!ReadPod(&bytes, &stripped) || !ReadPod(&bytes, &num_rows) ||
-      !ReadPod(&bytes, &num_member_rows) || !ReadPod(&bytes, &num_offsets)) {
-    return Status::InvalidArgument("truncated partition header");
-  }
-  if (num_rows < 0 || num_member_rows < 0 || num_offsets < 1) {
-    return Status::InvalidArgument("corrupt partition header");
-  }
+  PartitionHeader header;
+  TANE_RETURN_IF_ERROR(DecodeHeader(&bytes, &header));
   const size_t payload =
-      (static_cast<size_t>(num_member_rows) + num_offsets) * sizeof(int32_t);
+      (static_cast<size_t>(header.num_member_rows) + header.num_offsets) *
+      sizeof(int32_t);
   if (bytes.size() != payload) {
     return Status::InvalidArgument("partition payload size mismatch");
   }
-  std::vector<int32_t> row_ids(num_member_rows);
-  std::vector<int32_t> offsets(num_offsets);
-  if (num_member_rows > 0) {
+  std::vector<int32_t> row_ids(header.num_member_rows);
+  std::vector<int32_t> offsets(header.num_offsets);
+  if (header.num_member_rows > 0) {
     std::memcpy(row_ids.data(), bytes.data(),
-                num_member_rows * sizeof(int32_t));
+                header.num_member_rows * sizeof(int32_t));
   }
-  std::memcpy(offsets.data(), bytes.data() + num_member_rows * sizeof(int32_t),
-              num_offsets * sizeof(int32_t));
-  return StrippedPartition::Create(num_rows, std::move(row_ids),
-                                   std::move(offsets), stripped != 0);
+  std::memcpy(offsets.data(),
+              bytes.data() + header.num_member_rows * sizeof(int32_t),
+              header.num_offsets * sizeof(int32_t));
+  return StrippedPartition::Create(header.num_rows, std::move(row_ids),
+                                   std::move(offsets), header.stripped);
 }
 
 // ---------------------------------------------------------------------------
 // DiskPartitionStore
+
+namespace {
+
+// A spill record is [crc32][header][row ids][offsets]: exactly the CRC of
+// the SerializePartition image followed by that image, gathered from (and
+// scattered into) the partition's own arrays by one pwritev/preadv.
+using RecordParts = std::array<iovec, 4>;
+
+int64_t RecordBytes(int64_t member_rows, int64_t offsets) {
+  return static_cast<int64_t>(sizeof(uint32_t) + kHeaderBytes) +
+         (member_rows + offsets) * static_cast<int64_t>(sizeof(int32_t));
+}
+
+iovec Part(const void* data, size_t size) {
+  // pwritev never writes through iov_base; preadv callers pass mutable
+  // buffers.
+  return iovec{const_cast<void*>(data), size};
+}
+
+uint32_t RecordCrc(const HeaderBytes& header, std::string_view rows,
+                   std::string_view offsets) {
+  return Crc32(offsets,
+               Crc32(rows, Crc32(std::string_view(header.data(),
+                                                  header.size()))));
+}
+
+// Drops `n` transferred bytes off the front of `parts`, together with any
+// parts left empty, so the next call resumes exactly where the last stopped.
+void Advance(iovec** parts, int* count, size_t n) {
+  while (*count > 0 && n >= (*parts)->iov_len) {
+    n -= (*parts)->iov_len;
+    ++*parts;
+    --*count;
+  }
+  if (*count > 0) {
+    (*parts)->iov_base = static_cast<char*>((*parts)->iov_base) + n;
+    (*parts)->iov_len -= n;
+  }
+}
+
+// One write/read attempt of a whole record at a fixed offset, looping over
+// short transfers and EINTR; retried by Put/Get on transient errors. Each
+// attempt works on its own copy of `record`.
+Status WriteRecordOnce(int fd, RecordParts record, int64_t offset) {
+  TANE_INJECT_FAILPOINT("disk_store.put");
+  iovec* next = record.data();
+  int count = static_cast<int>(record.size());
+  Advance(&next, &count, 0);
+  int64_t written = 0;
+  while (count > 0) {
+    const ssize_t n = ::pwritev(fd, next, count, offset + written);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return Status::IoError(std::string("pwritev: ") + std::strerror(errno));
+    }
+    written += n;
+    Advance(&next, &count, static_cast<size_t>(n));
+  }
+  return Status::OK();
+}
+
+Status ReadRecordOnce(int fd, RecordParts record, int64_t offset) {
+  TANE_INJECT_FAILPOINT("disk_store.get");
+  iovec* next = record.data();
+  int count = static_cast<int>(record.size());
+  Advance(&next, &count, 0);
+  int64_t read = 0;
+  while (count > 0) {
+    const ssize_t n = ::preadv(fd, next, count, offset + read);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return Status::IoError(std::string("preadv: ") + std::strerror(errno));
+    }
+    if (n == 0) return Status::IoError("segment truncated");
+    read += n;
+    Advance(&next, &count, static_cast<size_t>(n));
+  }
+  return Status::OK();
+}
+
+}  // namespace
 
 StatusOr<std::unique_ptr<DiskPartitionStore>> DiskPartitionStore::Open(
     std::string directory) {
@@ -225,39 +340,6 @@ Status DiskPartitionStore::OpenNewSegment() {
   return Status::OK();
 }
 
-Status DiskPartitionStore::WriteRecordOnce(int fd, std::string_view record,
-                                           int64_t offset) {
-  TANE_INJECT_FAILPOINT("disk_store.put");
-  size_t written = 0;
-  while (written < record.size()) {
-    const ssize_t n =
-        ::pwrite(fd, record.data() + written, record.size() - written,
-                 offset + static_cast<int64_t>(written));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IoError(std::string("pwrite: ") + std::strerror(errno));
-    }
-    written += static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
-
-Status DiskPartitionStore::ReadRecordOnce(int fd, char* buffer, int64_t size,
-                                          int64_t offset) {
-  TANE_INJECT_FAILPOINT("disk_store.get");
-  int64_t read = 0;
-  while (read < size) {
-    const ssize_t n = ::pread(fd, buffer + read, size - read, offset + read);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IoError(std::string("pread: ") + std::strerror(errno));
-    }
-    if (n == 0) return Status::IoError("segment truncated");
-    read += n;
-  }
-  return Status::OK();
-}
-
 void DiskPartitionStore::CleanupFailedWrite(int32_t segment_id) {
   Segment& segment = segments_[segment_id];
   if (segment.fd < 0) return;
@@ -299,14 +381,19 @@ StatusOr<int64_t> DiskPartitionStore::Put(StrippedPartition partition) {
   const int32_t segment_id = static_cast<int32_t>(segments_.size()) - 1;
   Segment& segment = segments_[segment_id];
 
-  // Record layout: CRC32 of the payload, then the serialized partition.
-  std::string record;
-  {
-    const std::string payload = SerializePartition(partition);
-    record.reserve(sizeof(uint32_t) + payload.size());
-    AppendPod(&record, Crc32(payload));
-    record += payload;
-  }
+  // Record layout: CRC32 of the SerializePartition image, then the image,
+  // written straight from the partition's arrays.
+  const HeaderBytes header = EncodeHeader(partition);
+  const std::string_view rows = ArrayBytes(partition.row_ids());
+  const std::string_view offsets = ArrayBytes(partition.class_offsets());
+  const uint32_t crc = RecordCrc(header, rows, offsets);
+  const RecordParts record = {
+      Part(&crc, sizeof(crc)), Part(header.data(), header.size()),
+      Part(rows.data(), rows.size()), Part(offsets.data(), offsets.size())};
+  const int64_t member_rows = static_cast<int64_t>(partition.row_ids().size());
+  const int64_t num_offsets =
+      static_cast<int64_t>(partition.class_offsets().size());
+  const int64_t record_bytes = RecordBytes(member_rows, num_offsets);
 
   const int64_t offset = segment.bytes;
   const Status status = RetryWithBackoff(retry_policy_, [&] {
@@ -317,18 +404,16 @@ StatusOr<int64_t> DiskPartitionStore::Put(StrippedPartition partition) {
     return Status(status.code(), "spill write to " + SegmentPath(segment_id) +
                                      " failed: " + status.message());
   }
-  segment.bytes += static_cast<int64_t>(record.size());
+  segment.bytes += record_bytes;
   ++segment.live_partitions;
-  bytes_written_ += static_cast<int64_t>(record.size());
+  bytes_written_ += record_bytes;
   if (metrics_ != nullptr) {
     metrics_->AddShared(obs::kSpillWrites, 1);
-    metrics_->AddShared(obs::kSpillBytesWritten,
-                        static_cast<int64_t>(record.size()));
+    metrics_->AddShared(obs::kSpillBytesWritten, record_bytes);
   }
 
   const int64_t handle = next_handle_++;
-  entries_[handle] =
-      Entry{segment_id, offset, static_cast<int64_t>(record.size())};
+  entries_[handle] = Entry{segment_id, offset, member_rows, num_offsets};
   if (segment.bytes >= kSegmentBytes) segment.sealed = true;
   return handle;
 }
@@ -345,9 +430,17 @@ StatusOr<StrippedPartition> DiskPartitionStore::Get(int64_t handle) {
   }
   const Entry& entry = it->second;
   const Segment& segment = segments_[entry.segment];
-  std::string record(entry.size, '\0');
+  // Read straight into the arrays the partition will own.
+  uint32_t stored_crc = 0;
+  HeaderBytes header{};
+  std::vector<int32_t> rows(entry.member_rows);
+  std::vector<int32_t> offsets(entry.offsets);
+  const RecordParts record = {
+      Part(&stored_crc, sizeof(stored_crc)), Part(header.data(), header.size()),
+      Part(rows.data(), rows.size() * sizeof(int32_t)),
+      Part(offsets.data(), offsets.size() * sizeof(int32_t))};
   const Status status = RetryWithBackoff(retry_policy_, [&] {
-    return ReadRecordOnce(segment.fd, record.data(), entry.size, entry.offset);
+    return ReadRecordOnce(segment.fd, record, entry.offset);
   });
   if (!status.ok()) {
     return Status(status.code(), "spill read from " +
@@ -355,22 +448,30 @@ StatusOr<StrippedPartition> DiskPartitionStore::Get(int64_t handle) {
                                      " failed: " + status.message());
   }
 
-  std::string_view view(record);
-  uint32_t stored_crc = 0;
-  if (!ReadPod(&view, &stored_crc)) {
-    return Status::IoError("spill record in " + SegmentPath(entry.segment) +
-                           " too short for its checksum");
-  }
-  if (Crc32(view) != stored_crc) {
+  if (RecordCrc(header, ArrayBytes(rows), ArrayBytes(offsets)) != stored_crc) {
     return Status::IoError("spill segment " + SegmentPath(entry.segment) +
                            " corrupt: checksum mismatch for handle " +
                            std::to_string(handle));
   }
   if (metrics_ != nullptr) {
     metrics_->AddShared(obs::kSpillReads, 1);
-    metrics_->AddShared(obs::kSpillBytesRead, entry.size);
+    metrics_->AddShared(obs::kSpillBytesRead,
+                        RecordBytes(entry.member_rows, entry.offsets));
   }
-  return DeserializePartition(view);
+  // The checksum vouches for the bytes; the header must still describe the
+  // arrays the entry sized, and Create still validates the CSR invariants.
+  std::string_view header_view(header.data(), header.size());
+  PartitionHeader decoded;
+  if (!DecodeHeader(&header_view, &decoded).ok() ||
+      decoded.num_member_rows != entry.member_rows ||
+      decoded.num_offsets != entry.offsets) {
+    return Status::Internal("spill record for handle " +
+                            std::to_string(handle) + " in " +
+                            SegmentPath(entry.segment) +
+                            " does not match its index entry");
+  }
+  return StrippedPartition::Create(decoded.num_rows, std::move(rows),
+                                   std::move(offsets), decoded.stripped);
 }
 
 Status DiskPartitionStore::Release(int64_t handle) {

@@ -130,8 +130,12 @@ class MemoryPartitionStore : public PartitionStore {
 /// disk usage tracks the two live levels (O(s_max·|r|)) rather than the
 /// total spill volume.
 ///
-/// Spill I/O is hardened: every record carries a CRC32 of its payload,
-/// validated on read before deserialization; writes and reads loop over
+/// A record is the CRC32 of the partition's SerializePartition image
+/// followed by that image, written and read with one pwritev/preadv
+/// directly from and into the partition's arrays (no staging copy).
+///
+/// Spill I/O is hardened: every record's CRC32 is validated on read before
+/// the header is trusted or the partition built; writes and reads loop over
 /// short transfers and EINTR; transient kIoError failures are retried with
 /// capped exponential backoff (see util/retry.h) before surfacing, and
 /// surfaced errors name the segment path. A write that fails permanently
@@ -185,7 +189,10 @@ class DiskPartitionStore : public PartitionStore {
   struct Entry {
     int32_t segment = -1;
     int64_t offset = 0;
-    int64_t size = 0;
+    // Array lengths of the stored partition: they size Get's read buffers,
+    // and the record's header must repeat them.
+    int64_t member_rows = 0;
+    int64_t offsets = 0;
   };
   struct Segment {
     int fd = -1;
@@ -200,10 +207,6 @@ class DiskPartitionStore : public PartitionStore {
   std::string SegmentPath(int32_t segment) const;
   Status OpenNewSegment() TANE_REQUIRES(mu_);
   void DropSegmentIfDead(int32_t segment) TANE_REQUIRES(mu_);
-  // One write/read attempt of a whole record at a fixed offset, looping
-  // over short transfers and EINTR; retried by Put/Get on transient errors.
-  Status WriteRecordOnce(int fd, std::string_view record, int64_t offset);
-  Status ReadRecordOnce(int fd, char* buffer, int64_t size, int64_t offset);
   // Removes the partial record a permanently failed write left behind:
   // unlinks the segment when nothing else lives in it, else truncates it
   // back to its last durable byte.

@@ -58,8 +58,10 @@ struct SnapshotCounters {
 };
 
 struct RunSnapshot {
-  /// Bumped on any incompatible layout change; a mismatch rejects the file.
-  static constexpr uint32_t kFormatVersion = 1;
+  /// Bumped on any incompatible layout change, and whenever the node or
+  /// emission order a snapshot records changes (version 2: candidates are
+  /// ordered by parent pair, not by mask); a mismatch rejects the file.
+  static constexpr uint32_t kFormatVersion = 2;
 
   /// Fingerprint of the output-affecting configuration (ConfigFingerprint).
   uint32_t config_fingerprint = 0;

@@ -910,7 +910,7 @@ StatusOr<StrippedPartition> TaneRun::BuildCandidatePartition(
     metrics_.Add(w->shard, obs::kPartitionProducts, 1);
     // Handles are allocated monotonically and never reused, so handle+1 is
     // a sound content token: consecutive candidates sharing their left
-    // parent (common — candidate lists are sorted) skip re-labeling.
+    // parent (GenerateNextLevel groups them) skip re-labeling.
     return w->product.Multiply(
         *a, *b, static_cast<uint64_t>(survivors[candidate.parent_a].handle) + 1);
   }

@@ -51,9 +51,12 @@ std::vector<LevelCandidate> GenerateNextLevel(
     }
   }
 
+  // Group by left parent: consecutive products then share parent_a, so the
+  // driver's partition accessor and the product's label reuse both hit.
   std::sort(candidates.begin(), candidates.end(),
             [](const LevelCandidate& a, const LevelCandidate& b) {
-              return a.set < b.set;
+              return a.parent_a != b.parent_a ? a.parent_a < b.parent_a
+                                              : a.parent_b < b.parent_b;
             });
   return candidates;
 }

@@ -52,7 +52,8 @@ struct LevelCandidate {
 /// if every ℓ-subset is present.
 ///
 /// `level` must contain distinct sets of a single uniform size ℓ >= 1.
-/// Candidates are returned in ascending mask order (deterministic).
+/// Candidates are returned in ascending (parent_a, parent_b) order, which is
+/// deterministic and keeps all candidates of one left parent adjacent.
 std::vector<LevelCandidate> GenerateNextLevel(
     const std::vector<AttributeSet>& level);
 

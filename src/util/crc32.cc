@@ -7,25 +7,55 @@ namespace {
 
 constexpr uint32_t kPolynomial = 0xEDB88320u;
 
-std::array<uint32_t, 256> MakeTable() {
-  std::array<uint32_t, 256> table{};
+// Slicing-by-8 tables: kTables[0] is the classic bytewise table, and
+// kTables[k][b] is the CRC of byte b followed by k zero bytes, so eight
+// lookups fold eight input bytes into the register at once.
+using Tables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr Tables MakeTables() {
+  Tables tables{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t crc = i;
     for (int bit = 0; bit < 8; ++bit) {
       crc = (crc >> 1) ^ ((crc & 1u) ? kPolynomial : 0u);
     }
-    table[i] = crc;
+    tables[0][i] = crc;
   }
-  return table;
+  for (uint32_t i = 0; i < 256; ++i) {
+    for (int k = 1; k < 8; ++k) {
+      const uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xFFu];
+    }
+  }
+  return tables;
+}
+
+constexpr Tables kTables = MakeTables();
+
+// Little-endian load, whatever the host byte order; compilers fold it into
+// one load on little-endian targets.
+inline uint32_t LoadLe32(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
+         (static_cast<uint32_t>(p[2]) << 16) |
+         (static_cast<uint32_t>(p[3]) << 24);
 }
 
 }  // namespace
 
 uint32_t Crc32(std::string_view data, uint32_t seed) {
-  static const std::array<uint32_t, 256> table = MakeTable();
+  const auto* p = reinterpret_cast<const uint8_t*>(data.data());
+  size_t n = data.size();
   uint32_t crc = ~seed;
-  for (char ch : data) {
-    crc = (crc >> 8) ^ table[(crc ^ static_cast<uint8_t>(ch)) & 0xFFu];
+  for (; n >= 8; n -= 8, p += 8) {
+    const uint32_t lo = crc ^ LoadLe32(p);
+    const uint32_t hi = LoadLe32(p + 4);
+    crc = kTables[7][lo & 0xFFu] ^ kTables[6][(lo >> 8) & 0xFFu] ^
+          kTables[5][(lo >> 16) & 0xFFu] ^ kTables[4][lo >> 24] ^
+          kTables[3][hi & 0xFFu] ^ kTables[2][(hi >> 8) & 0xFFu] ^
+          kTables[1][(hi >> 16) & 0xFFu] ^ kTables[0][hi >> 24];
+  }
+  for (; n > 0; --n, ++p) {
+    crc = (crc >> 8) ^ kTables[0][(crc ^ *p) & 0xFFu];
   }
   return ~crc;
 }

@@ -1,5 +1,6 @@
 #include "util/checkpoint.h"
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -266,6 +267,32 @@ TEST(RunSnapshotTest, EveryTruncationAndBitFlipIsDetected) {
     const StatusOr<RunSnapshot> result = RunSnapshot::Deserialize(mutated);
     EXPECT_FALSE(result.ok()) << "bit flip at " << i;
   }
+}
+
+TEST(RunSnapshotTest, VersionOneFileIsRefusedAsUnsupported) {
+  // Version 1 recorded nodes in mask order; its emission order would not
+  // rebuild the pruning indexes of a version-2 run. Re-frame a valid image
+  // with version 1 in its header (CRC recomputed) so only the version
+  // differs.
+  const std::string bytes = MakeSnapshot().Serialize();
+  std::string_view rest(bytes);
+  uint32_t tag = 0;
+  std::string_view header;
+  TANE_ASSERT_OK(ReadFrame(&rest, &tag, &header));
+  std::string old_header(header);
+  const uint32_t version = 1;
+  ASSERT_GE(old_header.size(), 2 * sizeof(uint32_t));
+  std::memcpy(old_header.data() + sizeof(uint32_t), &version, sizeof(version));
+  std::string old_file;
+  AppendFrame(&old_file, tag, old_header);
+  old_file.append(rest);
+
+  const StatusOr<RunSnapshot> result = RunSnapshot::Deserialize(old_file);
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(IsSnapshotCorruptStatus(result.status()));
+  EXPECT_NE(result.status().message().find("unsupported format version 1"),
+            std::string::npos)
+      << result.status().ToString();
 }
 
 TEST(RunSnapshotTest, WriteLoadPicksLatestAndUnlinksOlder) {

@@ -1,8 +1,11 @@
 #include "lattice/level.h"
 
 #include <algorithm>
+#include <bit>
+#include <set>
 
 #include "gtest/gtest.h"
+#include "util/random.h"
 
 namespace tane {
 namespace {
@@ -98,7 +101,15 @@ TEST(GenerateNextLevelTest, TopOfLatticeFromFullPairSet) {
   EXPECT_TRUE(GenerateNextLevel(Sets({triples[0].set})).empty());
 }
 
+bool ByParents(const LevelCandidate& x, const LevelCandidate& y) {
+  return x.parent_a != y.parent_a ? x.parent_a < y.parent_a
+                                  : x.parent_b < y.parent_b;
+}
+
 TEST(GenerateNextLevelTest, DeterministicOrder) {
+  // Candidates come out grouped by left parent, ordered by (parent_a,
+  // parent_b) — not by mask: {0,2} precedes {0,1} here because {0} is
+  // level[1] and {2} is level[0].
   std::vector<AttributeSet> level = {
       AttributeSet::Singleton(2), AttributeSet::Singleton(0),
       AttributeSet::Singleton(1)};
@@ -110,10 +121,70 @@ TEST(GenerateNextLevelTest, DeterministicOrder) {
     EXPECT_EQ(a[i].parent_a, b[i].parent_a);
     EXPECT_EQ(a[i].parent_b, b[i].parent_b);
   }
-  EXPECT_TRUE(std::is_sorted(
-      a.begin(), a.end(), [](const LevelCandidate& x, const LevelCandidate& y) {
-        return x.set < y.set;
-      }));
+  EXPECT_TRUE(std::is_sorted(a.begin(), a.end(), ByParents));
+  ASSERT_EQ(a.size(), 3u);
+  EXPECT_EQ(a[0].set, AttributeSet::Of({0, 2}));
+  EXPECT_EQ(a[1].set, AttributeSet::Of({0, 1}));
+  EXPECT_EQ(a[2].set, AttributeSet::Of({1, 2}));
+}
+
+TEST(GenerateNextLevelTest, MatchesBruteForceOnRandomLevels) {
+  // The candidate set is exactly the (ℓ+1)-sets all of whose ℓ-subsets are
+  // in the level; each candidate is the union of two distinct ℓ-sets of the
+  // level, and the list is in strict (parent_a, parent_b) order.
+  Rng rng(7);
+  for (int trial = 0; trial < 200; ++trial) {
+    const int attributes = 2 + static_cast<int>(rng.NextBounded(7));
+    const int size = 1 + static_cast<int>(rng.NextBounded(attributes - 1));
+    const double keep = 0.3 + 0.7 * rng.NextDouble();
+    std::vector<AttributeSet> level;
+    std::set<uint64_t> present;
+    for (uint64_t mask = 1; mask < (uint64_t{1} << attributes); ++mask) {
+      if (std::popcount(mask) == size && rng.NextBernoulli(keep)) {
+        level.push_back(AttributeSet::FromMask(mask));
+        present.insert(mask);
+      }
+    }
+    // Level order is arbitrary in the driver (it follows the previous
+    // level's candidate order), so shuffle it.
+    for (size_t i = level.size(); i > 1; --i) {
+      std::swap(level[i - 1], level[rng.NextBounded(i)]);
+    }
+
+    std::set<uint64_t> expected;
+    for (uint64_t mask = 1; mask < (uint64_t{1} << attributes); ++mask) {
+      if (std::popcount(mask) != size + 1) continue;
+      bool all_present = true;
+      for (int attribute : Members(AttributeSet::FromMask(mask))) {
+        if (present.count(AttributeSet::FromMask(mask).Without(attribute)
+                              .mask()) == 0) {
+          all_present = false;
+        }
+      }
+      if (all_present) expected.insert(mask);
+    }
+
+    const std::vector<LevelCandidate> candidates = GenerateNextLevel(level);
+    std::set<uint64_t> actual;
+    for (const LevelCandidate& candidate : candidates) {
+      EXPECT_TRUE(actual.insert(candidate.set.mask()).second)
+          << "duplicate " << candidate.set.ToString();
+      ASSERT_GE(candidate.parent_a, 0);
+      ASSERT_GE(candidate.parent_b, 0);
+      ASSERT_LT(candidate.parent_a, static_cast<int>(level.size()));
+      ASSERT_LT(candidate.parent_b, static_cast<int>(level.size()));
+      EXPECT_NE(candidate.parent_a, candidate.parent_b);
+      EXPECT_EQ(level[candidate.parent_a].Union(level[candidate.parent_b]),
+                candidate.set);
+    }
+    EXPECT_EQ(actual, expected) << "trial " << trial;
+    EXPECT_TRUE(std::adjacent_find(candidates.begin(), candidates.end(),
+                                   [](const LevelCandidate& x,
+                                      const LevelCandidate& y) {
+                                     return !ByParents(x, y);
+                                   }) == candidates.end())
+        << "trial " << trial;
+  }
 }
 
 }  // namespace

@@ -2,12 +2,14 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "partition/partition_builder.h"
 #include "tests/test_util.h"
+#include "util/crc32.h"
 #include "util/failpoint.h"
 
 namespace tane {
@@ -291,6 +293,137 @@ TEST_F(DiskStoreFaultTest, FailedSegmentCreationLeavesNoFile) {
   failpoint::Arm("disk_store.open_segment", {.skip = 0, .fail_times = 1});
   ASSERT_FALSE((*store)->Put(SamplePartition()).ok());
   EXPECT_EQ(CountDirectoryEntries(directory), 0);
+}
+
+// Spill-record format: the vectored Put/Get must keep the record bytes
+// exactly [Crc32(image)][image] with image = SerializePartition(p).
+
+std::string SegmentPath(const DiskPartitionStore& store) {
+  return (std::filesystem::path(store.directory()) / "seg0.bin").string();
+}
+
+void FlipByte(const std::string& path, int64_t position) {
+  std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
+  ASSERT_TRUE(file.good()) << path;
+  file.seekg(position);
+  char byte = 0;
+  file.read(&byte, 1);
+  byte = static_cast<char>(byte ^ 0x04);
+  file.seekp(position);
+  file.write(&byte, 1);
+}
+
+StrippedPartition LargerPartition() {
+  return StrippedPartition::Create(
+             40, {3, 9, 1, 0, 7, 30, 31, 12, 5, 6, 22}, {0, 2, 5, 7, 11},
+             true)
+      .value();
+}
+
+TEST(DiskPartitionStoreTest, RecordBytesAreCrcThenSerializedImage) {
+  StatusOr<std::unique_ptr<DiskPartitionStore>> store =
+      DiskPartitionStore::Open();
+  ASSERT_TRUE(store.ok());
+  std::string expected;
+  for (const StrippedPartition& partition :
+       {LargerPartition(), StrippedPartition(5), SamplePartition().Unstripped()}) {
+    ASSERT_TRUE((*store)->Put(partition).ok());
+    const std::string image = SerializePartition(partition);
+    const uint32_t crc = Crc32(image);
+    expected.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
+    expected += image;
+  }
+  std::ifstream in(SegmentPath(**store), std::ios::binary);
+  const std::string raw((std::istreambuf_iterator<char>(in)), {});
+  EXPECT_EQ(raw, expected);
+  EXPECT_EQ((*store)->bytes_written(), static_cast<int64_t>(expected.size()));
+}
+
+TEST(DiskPartitionStoreTest, FlippedByteInAnyRegionIsAChecksumMismatch) {
+  const StrippedPartition partition = LargerPartition();
+  const int64_t rows_bytes =
+      static_cast<int64_t>(partition.row_ids().size() * sizeof(int32_t));
+  const int64_t offsets_bytes = static_cast<int64_t>(
+      partition.class_offsets().size() * sizeof(int32_t));
+  const int64_t header_bytes =
+      static_cast<int64_t>(SerializePartition(partition).size()) -
+      rows_bytes - offsets_bytes;
+  const int64_t crc_bytes = sizeof(uint32_t);
+  const struct {
+    const char* region;
+    int64_t position;
+  } flips[] = {
+      {"header", crc_bytes + header_bytes - 1},
+      {"row ids", crc_bytes + header_bytes + rows_bytes / 2},
+      {"offsets", crc_bytes + header_bytes + rows_bytes + offsets_bytes - 1},
+  };
+  for (const auto& flip : flips) {
+    StatusOr<std::unique_ptr<DiskPartitionStore>> store =
+        DiskPartitionStore::Open();
+    ASSERT_TRUE(store.ok());
+    StatusOr<int64_t> handle = (*store)->Put(partition);
+    ASSERT_TRUE(handle.ok());
+    FlipByte(SegmentPath(**store), flip.position);
+    StatusOr<StrippedPartition> loaded = (*store)->Get(*handle);
+    ASSERT_FALSE(loaded.ok()) << flip.region;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kIoError) << flip.region;
+    EXPECT_NE(loaded.status().message().find("checksum mismatch"),
+              std::string::npos)
+        << flip.region << ": " << loaded.status().ToString();
+  }
+}
+
+TEST(DiskPartitionStoreTest, HeaderMustMatchTheIndexEntry) {
+  // Two records of equal length whose arrays split differently (4+3 and
+  // 5+2 int32s). Copying the second over the first keeps the CRC valid —
+  // it is chained over the same byte stream — so only the header check
+  // against the store's index entry can catch the swap.
+  StatusOr<std::unique_ptr<DiskPartitionStore>> store =
+      DiskPartitionStore::Open();
+  ASSERT_TRUE(store.ok());
+  const StrippedPartition first =
+      StrippedPartition::Create(8, {0, 1, 2, 3}, {0, 2, 4}, true).value();
+  const StrippedPartition second =
+      StrippedPartition::Create(8, {0, 1, 2, 3, 4}, {0, 5}, true).value();
+  StatusOr<int64_t> handle = (*store)->Put(first);
+  ASSERT_TRUE(handle.ok());
+  ASSERT_TRUE((*store)->Put(second).ok());
+  const std::string path = SegmentPath(**store);
+  std::string raw;
+  {
+    std::ifstream in(path, std::ios::binary);
+    raw.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  ASSERT_EQ(raw.size() % 2, 0u);
+  const size_t half = raw.size() / 2;
+  {
+    std::fstream out(path, std::ios::in | std::ios::out | std::ios::binary);
+    out.write(raw.data() + half, static_cast<std::streamsize>(half));
+  }
+  StatusOr<StrippedPartition> loaded = (*store)->Get(*handle);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInternal);
+  EXPECT_NE(loaded.status().message().find("does not match its index entry"),
+            std::string::npos)
+      << loaded.status().ToString();
+}
+
+TEST(DiskPartitionStoreTest, ShortSegmentIsReportedTruncated) {
+  StatusOr<std::unique_ptr<DiskPartitionStore>> store =
+      DiskPartitionStore::Open();
+  ASSERT_TRUE(store.ok());
+  (*store)->set_retry_policy(NoSleepPolicy());
+  StatusOr<int64_t> handle = (*store)->Put(LargerPartition());
+  ASSERT_TRUE(handle.ok());
+  const std::string path = SegmentPath(**store);
+  std::filesystem::resize_file(path, std::filesystem::file_size(path) - 3);
+  StatusOr<StrippedPartition> loaded = (*store)->Get(*handle);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
+  EXPECT_NE(loaded.status().message().find("segment truncated"),
+            std::string::npos)
+      << loaded.status().ToString();
+  EXPECT_NE(loaded.status().message().find(path), std::string::npos);
 }
 
 TEST(AutoPartitionStoreTest, StaysInMemoryUnderBudget) {

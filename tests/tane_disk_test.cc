@@ -3,7 +3,9 @@
 
 #include "core/tane.h"
 #include "datasets/generators.h"
+#include "datasets/paper_datasets.h"
 #include "gtest/gtest.h"
+#include "obs/metrics.h"
 #include "tests/test_util.h"
 #include "util/failpoint.h"
 
@@ -75,6 +77,58 @@ TEST(TaneDiskTest, DiskModeApproximateMatchesMemory) {
     ASSERT_TRUE(disk_result.ok() && mem_result.ok());
     EXPECT_EQ(FdStrings(disk_result->fds), FdStrings(mem_result->fds))
         << "eps=" << epsilon;
+  }
+}
+
+Relation WbcStandIn() {
+  StatusOr<Relation> relation =
+      MakePaperDataset(PaperDataset::kWisconsinBreastCancer);
+  EXPECT_TRUE(relation.ok()) << relation.status().ToString();
+  return std::move(relation).value();
+}
+
+TEST(TaneDiskTest, SerialDiskRunReadsEachParentAboutOnce) {
+  // Candidates grouped by left parent let the accessor LRU serve every
+  // product after the first of a group from cache, so a serial run reads
+  // back fewer records than it computes products (mask order interleaved
+  // left parents and needed ~1.9 reads per product here), and the product
+  // reuses its left labels.
+  TaneConfig disk;
+  disk.storage = StorageMode::kDisk;
+  StatusOr<DiscoveryResult> result = Tane::Discover(WbcStandIn(), disk);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const int64_t products = result->stats.partition_products;
+  const int64_t reads = result->metrics.counter(obs::kSpillReads);
+  ASSERT_GT(products, 0);
+  EXPECT_LE(reads, products);
+  EXPECT_GT(result->stats.product_label_reuses, 0);
+}
+
+TEST(TaneDiskTest, FourThreadDiskRunMatchesSerialMemoryRun) {
+  const Relation relation = WbcStandIn();
+  for (double epsilon : {0.0, 0.05}) {
+    TaneConfig mem;
+    mem.epsilon = epsilon;
+    TaneConfig disk = mem;
+    disk.storage = StorageMode::kDisk;
+    disk.num_threads = 4;
+    // Force the parallel task window on every level.
+    disk.parallel_min_window_rows = 0;
+    StatusOr<DiscoveryResult> expected = Tane::Discover(relation, mem);
+    StatusOr<DiscoveryResult> actual = Tane::Discover(relation, disk);
+    ASSERT_TRUE(expected.ok() && actual.ok());
+    // Element for element, in emission order, with bit-identical errors.
+    ASSERT_EQ(actual->fds.size(), expected->fds.size()) << epsilon;
+    for (size_t i = 0; i < expected->fds.size(); ++i) {
+      EXPECT_EQ(actual->fds[i].lhs, expected->fds[i].lhs) << epsilon;
+      EXPECT_EQ(actual->fds[i].rhs, expected->fds[i].rhs) << epsilon;
+      EXPECT_EQ(actual->fds[i].error, expected->fds[i].error) << epsilon;
+    }
+    EXPECT_EQ(actual->keys, expected->keys) << epsilon;
+    EXPECT_EQ(actual->stats.partition_products,
+              expected->stats.partition_products);
+    EXPECT_EQ(actual->stats.validity_tests, expected->stats.validity_tests);
+    EXPECT_GT(actual->metrics.counter(obs::kSpillReads), 0);
   }
 }
 
