@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstdio>
 #include <functional>
 #include <limits>
 #include <list>
@@ -25,7 +24,6 @@
 #include "partition/product.h"
 #include "util/logging.h"
 #include "util/mutex.h"
-#include "util/span_stack.h"
 #include "util/thread_annotations.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -1050,13 +1048,6 @@ Status TaneRun::RunLevelWindow(const WindowInputs& in, const BuildFn& build,
 
   store_->BeginTaskWindow();
   if (UseParallelWindow(count, in.est_row_work)) {
-    if (SpanStack::recording()) {
-      // Names the parallel region for the sampling profiler: every worker
-      // pushes this label as its root frame for the window's duration.
-      char label[kSpanFrameChars];
-      std::snprintf(label, sizeof(label), "window level-%d", in.level_number);
-      SpanStack::SetCollectiveLabel(label);
-    }
     const ParallelForStats region = pool_.ParallelFor(
         count, [&](int worker, int64_t i) {
           WorkerState* w = workers_[worker].get();

@@ -1,12 +1,13 @@
 #include "obs/trace.h"
 
 #include <algorithm>
+#include <cmath>
+#include <map>
 #include <utility>
 
 #include "obs/flight_recorder.h"
 #include "obs/perf_counters.h"
 #include "util/mutex.h"
-#include "util/span_stack.h"
 
 namespace tane {
 namespace obs {
@@ -82,15 +83,10 @@ SpanGuard::SpanGuard(Tracer* tracer, std::string name,
     : tracer_(tracer), registry_(registry), name_(std::move(name)),
       tid_(tid) {
   // Each facet arms independently: tracing needs a tracer, hw attribution
-  // needs a registry, the profiler and flight recorder are global state.
+  // needs a registry, the flight recorder is global state.
   hw_active_ = registry_ != nullptr && PerfCounters::enabled();
-  stack_active_ = SpanStack::recording();
   recorder_active_ = FlightRecorder::active() != nullptr;
-  if (tracer_ == nullptr && !hw_active_ && !stack_active_ &&
-      !recorder_active_) {
-    return;
-  }
-  if (stack_active_) SpanStack::Local().Push(name_.c_str());
+  if (tracer_ == nullptr && !hw_active_ && !recorder_active_) return;
   if (recorder_active_) {
     FlightRecorder* recorder = FlightRecorder::active();
     if (recorder != nullptr) {
@@ -143,7 +139,6 @@ SpanGuard::~SpanGuard() {
               .count());
     }
   }
-  if (stack_active_) SpanStack::Local().Pop();
 }
 
 void SpanGuard::AddArg(std::string key, int64_t value) {
@@ -190,6 +185,93 @@ bool WriteChromeTrace(const Tracer& tracer, const std::string& path) {
   JsonWriter json;
   ExportChromeTrace(tracer.Events(), tracer.dropped(), &json);
   return json.WriteFile(path);
+}
+
+namespace {
+
+// flamegraph.pl splits "path count" on the last space and frames on ';',
+// so neither may appear inside a frame.
+void AppendFrame(std::string* path, const std::string& name) {
+  path->push_back(';');
+  for (char c : name) path->push_back(c == ' ' || c == ';' ? '_' : c);
+}
+
+}  // namespace
+
+std::string ExportFoldedStacks(const std::vector<TraceEvent>& events) {
+  // One sweep in start order. At equal starts a coordinator span opens
+  // before the worker events it encloses, and a parent before its child.
+  std::vector<const TraceEvent*> order;
+  for (const TraceEvent& event : events) {
+    if (!event.instant) order.push_back(&event);
+  }
+  std::stable_sort(order.begin(), order.end(),
+                   [](const TraceEvent* a, const TraceEvent* b) {
+                     if (a->start_us != b->start_us) {
+                       return a->start_us < b->start_us;
+                     }
+                     if ((a->tid == 0) != (b->tid == 0)) return a->tid == 0;
+                     return a->dur_us > b->dur_us;
+                   });
+
+  struct OpenSpan {
+    double end_us;
+    double dur_us;
+    double child_us;
+    std::string frames;  // ";run;level_3": the path below the track root
+  };
+  std::map<std::string, double> self_us;  // full path -> self time
+  std::map<int, double> worker_busy_us;
+  std::vector<OpenSpan> open;
+  double root_us = 0.0;
+  // A span that ends within a nanosecond of another's start does not
+  // enclose it: the two timestamps are the same instant read twice.
+  constexpr double kSlackUs = 1e-3;
+  const auto close_innermost = [&] {
+    const OpenSpan& span = open.back();
+    self_us["tane;main" + span.frames] += span.dur_us - span.child_us;
+    open.pop_back();
+  };
+  for (const TraceEvent* event : order) {
+    while (!open.empty() && open.back().end_us <= event->start_us + kSlackUs) {
+      close_innermost();
+    }
+    std::string frames = open.empty() ? std::string() : open.back().frames;
+    AppendFrame(&frames, event->name);
+    if (event->tid != 0) {
+      self_us["tane;worker-" + std::to_string(event->tid) + frames] +=
+          event->dur_us;
+      worker_busy_us[event->tid] += event->dur_us;
+      continue;
+    }
+    if (open.empty()) {
+      root_us += event->dur_us;
+    } else {
+      open.back().child_us += event->dur_us;
+    }
+    if (event->name == "slice") {
+      self_us["tane;main" + frames] += event->dur_us;
+      continue;
+    }
+    open.push_back({event->start_us + event->dur_us, event->dur_us, 0.0,
+                    std::move(frames)});
+  }
+  while (!open.empty()) close_innermost();
+  for (const auto& [tid, busy_us] : worker_busy_us) {
+    self_us["tane;worker-" + std::to_string(tid) + ";(idle)"] +=
+        root_us - busy_us;
+  }
+
+  std::string folded;
+  for (const auto& [path, us] : self_us) {
+    const long long rounded = std::llround(us);
+    if (rounded <= 0) continue;
+    folded += path;
+    folded += ' ';
+    folded += std::to_string(rounded);
+    folded += '\n';
+  }
+  return folded;
 }
 
 }  // namespace obs

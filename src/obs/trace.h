@@ -80,8 +80,6 @@ class Tracer {
 ///  * with a registry (tracer or not): reads the thread's perf-counter
 ///    group on entry/exit and folds the delta into the registry's
 ///    per-phase hardware aggregates (the "hw" object of --report);
-///  * while the sampling profiler runs: pushes the span name onto the
-///    thread's SpanStack so samples unwind to it;
 ///  * while a flight recorder is armed: records span begin/end events.
 ///
 /// With none of those active every operation is a no-op, so call sites
@@ -104,7 +102,6 @@ class SpanGuard {
   std::string name_;
   int tid_;
   bool hw_active_ = false;
-  bool stack_active_ = false;
   bool recorder_active_ = false;
   double start_us_ = 0.0;
   std::chrono::steady_clock::time_point start_tp_{};
@@ -122,6 +119,24 @@ void ExportChromeTrace(const std::vector<TraceEvent>& events,
 /// Convenience: exports `tracer`'s buffered events to `path`. Returns false
 /// when the file cannot be written.
 bool WriteChromeTrace(const Tracer& tracer, const std::string& path);
+
+/// Folds events into flamegraph input (flamegraph.pl, inferno, speedscope):
+/// one sorted "frame;frame;... self_us" line per span path, giving the exact
+/// self time of that path in integer microseconds.
+///
+///  * Coordinator (tid 0) spans nest by time under "tane;main"; a span's
+///    self time is its duration minus its direct children's. Coordinator
+///    "slice" events (its own share of a parallel region) are leaves.
+///  * Every event of worker w >= 1 is a leaf under "tane;worker-w" plus
+///    the path of the innermost coordinator span containing its start,
+///    e.g. "tane;worker-2;run;level_5;products;slice".
+///  * Each worker track also gets "tane;worker-w;(idle)": the coordinator's
+///    root span time minus that worker's event time, so every track sums
+///    to the run.
+///
+/// Instant events are skipped, ' ' and ';' in names become '_', and paths
+/// that round to 0 us are dropped.
+std::string ExportFoldedStacks(const std::vector<TraceEvent>& events);
 
 }  // namespace obs
 }  // namespace tane

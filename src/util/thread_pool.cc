@@ -7,12 +7,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <memory>
 
 #include "util/logging.h"
 #include "util/mutex.h"
-#include "util/span_stack.h"
 #include "util/timer.h"
 
 namespace tane {
@@ -153,22 +151,6 @@ ThreadPool::~ThreadPool() {
 
 double ThreadPool::Drain(int worker,
                          const std::function<void(int, int64_t)>& fn) {
-  // While the sampling profiler runs, this drain appears on the worker's
-  // span stack under the collective label the coordinator set for the
-  // region ("window level-3"), so worker samples attribute to the phase
-  // that fanned them out. One push per drain — nothing per index.
-  const bool profiled = SpanStack::recording();
-  if (profiled) {
-    SpanStack& stack = SpanStack::Local();
-    if (worker != 0) {
-      char label[kSpanFrameChars];
-      std::snprintf(label, sizeof(label), "worker-%d", worker);
-      stack.SetLabel(label);
-    }
-    char frame[kSpanFrameChars];
-    SpanStack::GetCollectiveLabel(frame);
-    stack.Push(frame[0] != '\0' ? frame : "parallel-for");
-  }
   std::chrono::steady_clock::time_point start;
   std::chrono::steady_clock::time_point last_end;
   int64_t items = 0;
@@ -196,7 +178,6 @@ double ThreadPool::Drain(int worker,
     ++items;
     remaining_.fetch_sub(1, std::memory_order_seq_cst);
   }
-  if (profiled) SpanStack::Local().Pop();
   if (items == 0) return 0.0;
   if (slice_hook_) {
     slice_hook_(ParallelForSlice{worker, start, last_end, items});

@@ -74,7 +74,7 @@ class AnalyzerFixtureTests(unittest.TestCase):
             dest = os.path.join(tree, dest_rel)
             os.makedirs(os.path.dirname(dest), exist_ok=True)
             shutil.copyfile(src, dest)
-            findings, _stats = driver.analyze_tree(tree, frontend="micro")
+            findings, _stats = driver.analyze_tree(tree)
         finally:
             shutil.rmtree(tree, ignore_errors=True)
         counts = {rule: 0 for rule in ALL_RULES}

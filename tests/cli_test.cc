@@ -1,10 +1,15 @@
 #include "tools/cli.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <regex>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "gtest/gtest.h"
+#include "obs/trace.h"
 #include "tests/test_util.h"
 
 namespace tane {
@@ -247,6 +252,76 @@ TEST(CliTest, ProfileCommand) {
   EXPECT_NE(result.out.find("distinct"), std::string::npos);
   EXPECT_NE(result.out.find("entropy"), std::string::npos);
   std::remove(path.c_str());
+}
+
+// Lines of a folded-stack file, each checked against the folded grammar:
+// ';'-joined frames rooted at "tane", one space, a positive integer.
+std::vector<std::string> ReadFoldedLines(const std::string& path) {
+  std::vector<std::string> lines;
+  std::ifstream in(path);
+  EXPECT_TRUE(in.good()) << path;
+  const std::regex grammar(R"(^tane(;[^ ;]+)+ [1-9][0-9]*$)");
+  for (std::string line; std::getline(in, line);) {
+    EXPECT_TRUE(std::regex_match(line, grammar)) << line;
+    lines.push_back(line);
+  }
+  return lines;
+}
+
+TEST(CliTest, DiscoverProfileOutWritesFoldedStacks) {
+  const std::string path = WriteFigure1Csv();
+  const std::string folded = ::testing::TempDir() + "/tane_cli.folded";
+  CliResult result = RunCli({"discover", path, "--profile-out=" + folded});
+  EXPECT_EQ(result.code, 0) << result.err;
+  EXPECT_NE(result.out.find("6 minimal dependencies"), std::string::npos);
+  EXPECT_EQ(result.err.find("warning"), std::string::npos) << result.err;
+  const std::vector<std::string> lines = ReadFoldedLines(folded);
+  ASSERT_FALSE(lines.empty());
+  EXPECT_TRUE(std::is_sorted(lines.begin(), lines.end()));
+  bool saw_run = false;
+  for (const std::string& line : lines) {
+    saw_run |= line.rfind("tane;main;run", 0) == 0;
+  }
+  EXPECT_TRUE(saw_run);
+  std::remove(folded.c_str());
+
+  // Folded stacks are exact, so there is no sampling rate to set.
+  CliResult sampled = RunCli({"discover", path, "--profile"});
+  EXPECT_EQ(sampled.code, 2);
+  EXPECT_NE(sampled.err.find("unknown flag --profile "), std::string::npos)
+      << sampled.err;
+  EXPECT_EQ(RunCli({"discover", path, "--profile=97"}).code, 2);
+  EXPECT_EQ(RunCli({"discover", path, "--profile-out="}).code, 2);
+  std::remove(path.c_str());
+}
+
+TEST(CliTest, OverflowedTraceRingWarnsForTheProfile) {
+  obs::Tracer tracer(/*capacity=*/4);
+  for (int i = 0; i < 6; ++i) {
+    obs::TraceEvent event;
+    event.name = "span " + std::to_string(i);
+    event.start_us = 10.0 * i;
+    event.dur_us = 5.0;
+    tracer.Emit(std::move(event));
+  }
+  const std::string folded = ::testing::TempDir() + "/tane_cli_ring.folded";
+  std::ostringstream err;
+  ASSERT_TRUE(WriteTraceArtifacts(tracer, nullptr, &folded, err).ok());
+  EXPECT_NE(err.str().find("warning: trace ring overflowed; dropped 2"),
+            std::string::npos)
+      << err.str();
+  const std::vector<std::string> survivors = {
+      "tane;main;span_2 5", "tane;main;span_3 5", "tane;main;span_4 5",
+      "tane;main;span_5 5"};
+  EXPECT_EQ(ReadFoldedLines(folded), survivors);
+  std::remove(folded.c_str());
+
+  obs::Tracer roomy;
+  roomy.Emit(obs::TraceEvent());
+  std::ostringstream quiet;
+  ASSERT_TRUE(WriteTraceArtifacts(roomy, nullptr, &folded, quiet).ok());
+  EXPECT_TRUE(quiet.str().empty()) << quiet.str();
+  std::remove(folded.c_str());
 }
 
 TEST(CliTest, RulesCommand) {

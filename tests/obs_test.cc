@@ -1,30 +1,30 @@
 // Tests for the observability layer: metrics registry exactness under
 // concurrency, histogram semantics, the tracer ring and span deltas, the
-// progress heartbeat, Chrome trace export, and the run report's agreement
-// with DiscoveryStats.
+// progress heartbeat, Chrome trace and folded-stack export, and the run
+// report's agreement with DiscoveryStats.
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/tane.h"
+#include "datasets/paper_datasets.h"
 #include "gtest/gtest.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/perf_counters.h"
-#include "obs/profiler.h"
 #include "obs/progress.h"
 #include "obs/report.h"
 #include "obs/trace.h"
 #include "tests/test_util.h"
 #include "util/logging.h"
 #include "util/run_control.h"
-#include "util/span_stack.h"
-#include "util/thread_pool.h"
 
 namespace tane {
 namespace obs {
@@ -576,130 +576,139 @@ TEST(MetricsRegistryTest, HwSpanAggregatesAndSnapshotSortsPhases) {
   EXPECT_EQ(snapshot.hw_backend, PerfBackendName(PerfCounters::backend()));
 }
 
-TEST(SpanStackTest, RecordingGatePushPopAndTruncation) {
-  SpanStack& stack = SpanStack::Local();
-  SpanStack::SetRecording(false);
-  stack.Push("invisible");  // recording off: full no-op, no Pop owed
-  EXPECT_TRUE(stack.TakeSample().frames.empty());
-
-  SpanStack::SetRecording(true);
-  stack.SetLabel("main");
-  stack.Push("run");
-  stack.Push("level 3");
-  const std::string long_name(2 * kSpanFrameChars, 'x');
-  stack.Push(long_name.c_str());
-
-  SpanStack::Sample sample = stack.TakeSample();
-  EXPECT_FALSE(sample.skipped);
-  EXPECT_STREQ(sample.label, "main");
-  ASSERT_EQ(sample.frames.size(), 3u);
-  EXPECT_EQ(sample.frames[0], "run");
-  EXPECT_EQ(sample.frames[1], "level 3");
-  EXPECT_EQ(sample.frames[2], std::string(kSpanFrameChars - 1, 'x'));
-
-  stack.Pop();
-  stack.Pop();
-  stack.Pop();
-  EXPECT_TRUE(stack.TakeSample().frames.empty());
-  SpanStack::SetRecording(false);
+TraceEvent Span(int tid, std::string name, double start_us, double dur_us) {
+  TraceEvent event;
+  event.tid = tid;
+  event.name = std::move(name);
+  event.start_us = start_us;
+  event.dur_us = dur_us;
+  return event;
 }
 
-TEST(SpanStackTest, DepthOverflowStaysBalanced) {
-  SpanStack::SetRecording(true);
-  SpanStack& stack = SpanStack::Local();
-  for (int i = 0; i < kSpanStackMaxDepth + 4; ++i) stack.Push("deep");
-  SpanStack::Sample sample = stack.TakeSample();
-  EXPECT_EQ(sample.frames.size(),
-            static_cast<size_t>(kSpanStackMaxDepth));
-  for (int i = 0; i < kSpanStackMaxDepth + 4; ++i) stack.Pop();
-  EXPECT_TRUE(stack.TakeSample().frames.empty());
-  SpanStack::SetRecording(false);
+std::vector<std::string> Lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
 }
 
-TEST(SpanStackTest, WorkerDrainsCarryTheCollectiveLabel) {
-  // The thread pool pushes the coordinator-set collective label as each
-  // participant's drain frame, so samples on workers attribute to the
-  // parallel region that fanned them out. Every fn invocation — caller
-  // or background worker — must see that frame on its own stack.
-  SpanStack::SetRecording(true);
-  SpanStack::SetCollectiveLabel("window level-9");
-  ThreadPool pool(4);
-  std::atomic<int> labeled{0};
-  std::atomic<int> sampled_threads_min{0};
-  std::atomic<bool> first_invocation{true};
-  pool.ParallelFor(64, [&](int, int64_t) {
-    const SpanStack::Sample sample = SpanStack::Local().TakeSample();
-    for (const std::string& frame : sample.frames) {
-      if (frame == "window level-9") {
-        labeled.fetch_add(1, std::memory_order_relaxed);
-        break;
+TEST(FoldedStacksTest, ExactSelfTimesWorkerAttributionAndIdle) {
+  // In emission order, as the ring holds them: a span is emitted when it
+  // closes, so children precede their parents.
+  std::vector<TraceEvent> events = {
+      Span(0, "slice", 30, 200),   // the coordinator's own drain
+      Span(1, "slice", 40, 250),
+      Span(2, "slice", 50, 100),
+      Span(0, "products", 20, 300),
+      Span(0, "prune", 400, 50),
+      Span(0, "level 1", 10, 500),
+      // Starts the instant "level 1" ends: not inside it.
+      Span(2, "slice", 510, 20),
+      // Starts with "level 2": inside it.
+      Span(2, "slice", 600, 10),
+      Span(1, "slice", 620, 80),
+      Span(0, "odd;name x", 610, 100),
+      Span(0, "level 2", 600, 300),
+      Span(0, "generate", 950, 0.3),  // rounds to 0 us: dropped
+      Span(0, "run", 0, 1000),
+  };
+  TraceEvent heartbeat = Span(0, "heartbeat", 100, 0);
+  heartbeat.instant = true;
+  events.push_back(heartbeat);
+
+  const std::vector<std::string> expected = {
+      "tane;main;run 200",  // 1000 - 500 - 300 - 0.3
+      "tane;main;run;level_1 150",
+      "tane;main;run;level_1;products 100",
+      "tane;main;run;level_1;products;slice 200",
+      "tane;main;run;level_1;prune 50",
+      "tane;main;run;level_2 200",
+      "tane;main;run;level_2;odd_name_x 100",
+      "tane;worker-1;(idle) 670",
+      "tane;worker-1;run;level_1;products;slice 250",
+      "tane;worker-1;run;level_2;odd_name_x;slice 80",
+      "tane;worker-2;(idle) 870",
+      "tane;worker-2;run;level_1;products;slice 100",
+      "tane;worker-2;run;level_2;slice 10",
+      "tane;worker-2;run;slice 20",
+  };
+  const std::vector<std::string> lines = Lines(ExportFoldedStacks(events));
+  EXPECT_EQ(lines, expected);
+  EXPECT_TRUE(std::is_sorted(lines.begin(), lines.end()));
+  EXPECT_EQ(ExportFoldedStacks({}), "");
+}
+
+// Per-track totals of a folded file: track ("main", "worker-2") -> the sum
+// of its lines and the number of lines.
+struct TrackTotal {
+  int64_t us = 0;
+  int64_t lines = 0;
+};
+
+std::map<std::string, TrackTotal> TrackTotals(const std::string& folded) {
+  std::map<std::string, TrackTotal> totals;
+  for (const std::string& line : Lines(folded)) {
+    const size_t space = line.find(' ');
+    EXPECT_NE(space, std::string::npos) << line;
+    EXPECT_EQ(line.rfind("tane;", 0), 0u) << line;
+    const int64_t us = std::stoll(line.substr(space + 1));
+    EXPECT_GT(us, 0) << line;
+    const size_t track_end = line.find(';', 5);
+    TrackTotal& total = totals[line.substr(5, track_end - 5)];
+    total.us += us;
+    ++total.lines;
+  }
+  return totals;
+}
+
+TEST(FoldedStacksTest, EveryTrackOfADiscoverySumsToTheRunSpan) {
+  StatusOr<Relation> relation =
+      MakePaperDataset(PaperDataset::kWisconsinBreastCancer, 300, 42);
+  ASSERT_TRUE(relation.ok()) << relation.status().ToString();
+  TANE_ASSERT_OK_AND_ASSIGN(DiscoveryResult untraced,
+                            Tane::Discover(*relation, TaneConfig()));
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    Tracer tracer;
+    TaneConfig config;
+    config.num_threads = threads;
+    config.parallel_min_window_rows = 0;  // force the parallel window
+    config.tracer = &tracer;
+    TANE_ASSERT_OK_AND_ASSIGN(DiscoveryResult result,
+                              Tane::Discover(*relation, config));
+    EXPECT_EQ(testing_util::FdStrings(result.fds),
+              testing_util::FdStrings(untraced.fds));
+    EXPECT_EQ(result.keys, untraced.keys);
+
+    ASSERT_EQ(tracer.dropped(), 0);
+    const std::vector<TraceEvent> events = tracer.Events();
+    double run_us = -1;
+    for (const TraceEvent& event : events) {
+      if (event.name == "run") run_us = event.dur_us;
+    }
+    ASSERT_GT(run_us, 0);
+    const std::string folded = ExportFoldedStacks(events);
+    const std::map<std::string, TrackTotal> totals = TrackTotals(folded);
+    ASSERT_EQ(totals.count("main"), 1u) << folded;
+    // A worker that the others beat to every index has no track; that is
+    // scheduling, not folding, so only an upper bound holds.
+    EXPECT_LE(totals.size(), static_cast<size_t>(threads)) << folded;
+    for (const auto& [track, total] : totals) {
+      EXPECT_NEAR(static_cast<double>(total.us), run_us,
+                  static_cast<double>(total.lines))
+          << track << "\n" << folded;
+    }
+    if (threads > 1) {
+      // The coordinator's share of a parallel window is a leaf under the
+      // span that opened the window.
+      bool saw_window_slice = false;
+      for (const std::string& line : Lines(folded)) {
+        saw_window_slice |= line.rfind("tane;main;run;level_", 0) == 0 &&
+                            line.find(";products;slice ") != std::string::npos;
       }
-    }
-    // Sampled from whichever invocation runs first: work stealing may leave
-    // any one thread, the caller included, with no items at all.
-    if (first_invocation.exchange(false, std::memory_order_relaxed)) {
-      // The registry sees at least the sampling thread; the others appear
-      // as they register. (Exact count is scheduling-dependent.)
-      const int n = static_cast<int>(SpanStack::SampleAll().size());
-      sampled_threads_min.store(n, std::memory_order_relaxed);
-    }
-  });
-  EXPECT_EQ(labeled.load(), 64);
-  EXPECT_GE(sampled_threads_min.load(), 1);
-  SpanStack::SetCollectiveLabel("");
-  SpanStack::SetRecording(false);
-}
-
-TEST(ProfilerTest, SamplesLiveSpansIntoValidFoldedOutput) {
-  Profiler profiler;
-  profiler.Start(/*hz=*/500);
-  EXPECT_TRUE(profiler.running());
-  EXPECT_TRUE(SpanStack::recording());
-
-  SpanStack& stack = SpanStack::Local();
-  stack.SetLabel("main");
-  stack.Push("run");
-  stack.Push("unit test phase");
-  // Hold the spans open until the sampler has observed this stack at
-  // least once (bounded: 500 Hz means one tick every 2 ms).
-  const int64_t target = profiler.total_samples() + 2;
-  for (int i = 0; i < 2000 && profiler.total_samples() < target; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  stack.Pop();
-  stack.Pop();
-  profiler.Stop();
-  EXPECT_FALSE(profiler.running());
-  EXPECT_FALSE(SpanStack::recording());
-  EXPECT_GE(profiler.total_samples(), target);
-
-  const std::string path =
-      ::testing::TempDir() + "/tane_profiler_test.folded";
-  ASSERT_TRUE(profiler.WriteFolded(path));
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::string line;
-  int lines = 0;
-  bool saw_phase = false;
-  while (std::getline(in, line)) {
-    ++lines;
-    // Folded format: "tane;label;frame;... count" — root always "tane",
-    // frames never contain ' ' or ';', count strictly positive.
-    const size_t space = line.rfind(' ');
-    ASSERT_NE(space, std::string::npos) << line;
-    const std::string frames = line.substr(0, space);
-    EXPECT_EQ(frames.rfind("tane;", 0), 0u) << line;
-    EXPECT_GT(std::stoll(line.substr(space + 1)), 0) << line;
-    EXPECT_EQ(frames.find(";;"), std::string::npos) << line;
-    if (frames.find("unit_test_phase") != std::string::npos) {
-      saw_phase = true;
-      EXPECT_NE(frames.find("main;run;unit_test_phase"),
-                std::string::npos) << line;
+      EXPECT_TRUE(saw_window_slice) << folded;
     }
   }
-  EXPECT_GT(lines, 0);
-  EXPECT_TRUE(saw_phase);
-  std::filesystem::remove(path);
 }
 
 TEST(FlightRecorderTest, GracefulDumpIsValidJsonAndFirstWins) {

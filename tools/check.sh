@@ -102,16 +102,17 @@ else
 fi
 echo "obs smoke OK: ${obs_dir}"
 
-# Profiler overhead gate: the same discovery twice without and twice with
-# the 97 Hz sampler; check_obs.py validates the folded-stack artifact and
-# holds min-profiled/min-baseline to the 1.05x budget.
-echo "==> profile gate: release discover with --profile"
+# Profile gate: the same discovery twice without and twice with
+# --profile-out; check_obs.py validates the folded-stack artifact, requires
+# its main track to sum to the run's discover time within 1%, and holds
+# min-profiled/min-baseline to the 1.05x budget.
+echo "==> profile gate: release discover with --profile-out"
 base_flags=(--threads=2 --epsilon=0.05 --max-lhs=4 --stats)
 for i in 1 2; do
   build-release/tools/tane discover "${obs_dir}/hepatitis.csv" \
     "${base_flags[@]}" > "${obs_dir}/base${i}.txt"
   build-release/tools/tane discover "${obs_dir}/hepatitis.csv" \
-    "${base_flags[@]}" --profile \
+    "${base_flags[@]}" \
     --profile-out="${obs_dir}/profile${i}.folded" > "${obs_dir}/prof${i}.txt"
 done
 if command -v python3 >/dev/null 2>&1; then

@@ -20,12 +20,13 @@ that its counters and per-level table agree with what `tane discover
 regressions in the parallel_scaling artifact: every run must match the
 serial output bit for bit, allocation counts must not drift with the thread
 count, and — on machines whose hardware_concurrency covers the thread count
-— speedups must clear the regression floors below. `profile` gates the
-sampling profiler: the folded-stack artifact must be structurally valid
-(semicolon-joined frames rooted at "tane", integer sample counts) and
-carry real samples, and the profiled run's discover time may not exceed
-the unprofiled baseline by more than 5% (min-of-N on both sides so one
-noisy run does not flap the gate).
+— speedups must clear the regression floors below. `profile` gates
+--profile-out: the folded-stack artifact must be structurally valid
+(semicolon-joined frames rooted at "tane", integer µs of self time), its
+"tane;main" lines must sum to the first profiled run's discover time
+within 1% (the fold is exact, not sampled), and the profiled run's
+discover time may not exceed the unprofiled baseline by more than 5%
+(min-of-N on both sides so one noisy run does not flap the gate).
 """
 
 import re
@@ -35,10 +36,15 @@ import jsonio
 
 OVERHEAD_BUDGET = 1.02
 
-# The sampling profiler's budget at its default 97 Hz: spans push/pop a
-# seqlock-protected frame and the sampler reads them from another thread,
-# all off the per-product hot path — 5% is generous, not tight.
+# --profile-out's budget: it turns on the tracer, whose spans are per
+# phase and per parallel region, all off the per-product hot path — 5% is
+# generous, not tight.
 PROFILE_OVERHEAD_BUDGET = 1.05
+
+# The folded main track sums to the "run" span, which sits just inside the
+# --stats discover= timer; the two agree to microseconds, so 1% still fails
+# any fold that loses or double-counts a phase.
+PROFILE_MAIN_TRACK_TOLERANCE = 0.01
 
 HW_BACKENDS = ("noop", "linux_perf")
 
@@ -382,9 +388,9 @@ FOLDED_LINE = re.compile(r"^(\S+) (\d+)$")
 
 
 def discover_seconds(stats_path):
-    """The discover-phase wall time from a --stats capture: the profiler
-    only runs during discovery, so this is the honest numerator — CSV read
-    and report writing would dilute the ratio."""
+    """The discover-phase wall time from a --stats capture: the tracer
+    only spans discovery, so this is the honest numerator — CSV read and
+    report writing would dilute the ratio."""
     try:
         with open(stats_path) as handle:
             text = handle.read()
@@ -417,6 +423,7 @@ def check_profile(argv):
         fail(f"{folded_path}: empty folded-stack file")
     total = 0
     working = 0
+    main_us = 0
     for index, line in enumerate(lines):
         match = FOLDED_LINE.match(line)
         if match is None:
@@ -426,15 +433,24 @@ def check_profile(argv):
         if frames[0] != "tane":
             fail(f"{folded_path}:{index + 1}: stack not rooted at 'tane'")
         if count <= 0:
-            fail(f"{folded_path}:{index + 1}: non-positive sample count")
+            fail(f"{folded_path}:{index + 1}: non-positive self time")
         if any(not frame for frame in frames):
             fail(f"{folded_path}:{index + 1}: empty frame")
         total += count
         if "(idle)" not in frames:
             working += count
+        if frames[1] == "main":
+            main_us += count
     if working == 0:
-        fail(f"{folded_path}: every sample is idle — the span stack never "
-             f"saw a frame")
+        fail(f"{folded_path}: every µs is idle — no span was folded")
+
+    # The main track is the coordinator's whole span tree, so it must
+    # account for the run's discover time, not a sample of it.
+    main_s = main_us * 1e-6
+    if abs(main_s - prof[0]) > PROFILE_MAIN_TRACK_TOLERANCE * prof[0]:
+        fail(f"{folded_path}: tane;main lines sum to {main_s:.6f}s but "
+             f"the run's discover= is {prof[0]:.6f}s (tolerance "
+             f"{PROFILE_MAIN_TRACK_TOLERANCE:.0%})")
 
     # min-of-N on both sides: scheduling noise only ever adds time, so the
     # minimum is the least-contaminated estimate of each mode's true cost.
@@ -443,7 +459,8 @@ def check_profile(argv):
         fail(f"profiling overhead {ratio:.4f}x exceeds the "
              f"{PROFILE_OVERHEAD_BUDGET:.2f}x budget "
              f"(base min {min(base):.4f}s, profiled min {min(prof):.4f}s)")
-    print(f"check_obs: profile OK ({total} samples, {working} working, "
+    print(f"check_obs: profile OK ({total} µs of self time, {working} "
+          f"working, main track {main_s:.6f}s vs discover {prof[0]:.6f}s, "
           f"overhead {ratio:.4f}x <= {PROFILE_OVERHEAD_BUDGET:.2f}x)")
 
 

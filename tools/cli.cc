@@ -15,7 +15,6 @@
 #include "datasets/paper_datasets.h"
 #include "obs/flight_recorder.h"
 #include "obs/perf_counters.h"
-#include "obs/profiler.h"
 #include "obs/report.h"
 #include "obs/trace.h"
 #include "relation/csv.h"
@@ -57,12 +56,10 @@ commands:
       --report=PATH     write a machine-readable JSON run report (config,
                         dataset fingerprint, metrics, per-level table,
                         hardware-counter phase aggregates)
-      --profile[=HZ]    sample the span stack HZ times per second (default
-                        97) and write a folded-stack profile; feed it to
-                        flamegraph.pl or speedscope
       --profile-out=PATH
-                        folded-stack output path (default
-                        tane-profile.folded)
+                        write the exact self time of every span path (in
+                        microseconds) as folded stacks; feed it to
+                        flamegraph.pl or speedscope
       --progress[=SECONDS]
                         log a progress heartbeat every SECONDS (default 1);
                         implies --log-level=info unless set explicitly
@@ -278,8 +275,15 @@ Status RunDiscover(const ParsedArgs& args, std::ostream& out,
     config.progress_period_seconds = period;
   }
 
+  // --profile-out folds the same event stream --trace exports, so either
+  // flag (or both) creates the one tracer.
+  const std::string* trace_path = args.Flag("trace");
+  const std::string* profile_path = args.Flag("profile-out");
+  if (profile_path != nullptr && profile_path->empty()) {
+    return Status::InvalidArgument("--profile-out needs a path");
+  }
   std::optional<obs::Tracer> tracer;
-  if (args.Flag("trace") != nullptr) {
+  if (trace_path != nullptr || profile_path != nullptr) {
     tracer.emplace();
     config.tracer = &*tracer;
   }
@@ -294,32 +298,8 @@ Status RunDiscover(const ParsedArgs& args, std::ostream& out,
     obs::FlightRecorder::InstallSignalHandlers();
   }
 
-  obs::Profiler profiler;
-  const std::string* profile = args.Flag("profile");
-  // --profile-out alone implies profiling at the default rate.
-  if (profile != nullptr || args.Flag("profile-out") != nullptr) {
-    int64_t hz = obs::Profiler::kDefaultHz;
-    if (profile != nullptr && !profile->empty() &&
-        (!ParseInt64(*profile, &hz) || hz <= 0)) {
-      return Status::InvalidArgument("--profile rate must be > 0, got " +
-                                     *profile);
-    }
-    profiler.Start(static_cast<int>(hz));
-  }
-
   TANE_ASSIGN_OR_RETURN(DiscoveryResult result,
                         Tane::Discover(relation, config));
-  if (profiler.running()) {
-    profiler.Stop();
-    const std::string* out_path = args.Flag("profile-out");
-    const std::string folded_path =
-        out_path != nullptr ? *out_path : std::string("tane-profile.folded");
-    if (!profiler.WriteFolded(folded_path)) {
-      return Status::IoError("cannot write profile to " + folded_path);
-    }
-    err << "note: wrote " << profiler.total_samples() << " samples to "
-        << folded_path << "\n";
-  }
   const WallTimer report_timer;
   result.stats.read_seconds = read_seconds;
   if (!result.complete()) {
@@ -435,16 +415,9 @@ Status RunDiscover(const ParsedArgs& args, std::ostream& out,
     }
   }
 
-  if (const std::string* trace_path = args.Flag("trace")) {
-    // One-shot, not per-event: the ring already absorbed the loss; the
-    // operator only needs to know the trace is a suffix, not the whole run.
-    if (tracer->dropped() > 0) {
-      err << "warning: trace ring overflowed; dropped " << tracer->dropped()
-          << " oldest event(s) — the trace covers the tail of the run\n";
-    }
-    if (!WriteChromeTrace(*tracer, *trace_path)) {
-      return Status::IoError("cannot write trace to " + *trace_path);
-    }
+  if (tracer.has_value()) {
+    TANE_RETURN_IF_ERROR(
+        WriteTraceArtifacts(*tracer, trace_path, profile_path, err));
   }
   if (const std::string* report_path = args.Flag("report")) {
     obs::RunReportOptions report_options;
@@ -685,6 +658,30 @@ std::string FdToJson(const FunctionalDependency& fd, const Schema& schema) {
   return out.str();
 }
 
+Status WriteTraceArtifacts(const obs::Tracer& tracer,
+                           const std::string* trace_path,
+                           const std::string* profile_path,
+                           std::ostream& err) {
+  // One-shot, not per-event: the ring already absorbed the loss; the
+  // operator only needs to know the artifacts cover a suffix of the run.
+  if (tracer.dropped() > 0) {
+    err << "warning: trace ring overflowed; dropped " << tracer.dropped()
+        << " oldest event(s) — the trace covers the tail of the run\n";
+  }
+  if (trace_path != nullptr && !WriteChromeTrace(tracer, *trace_path)) {
+    return Status::IoError("cannot write trace to " + *trace_path);
+  }
+  if (profile_path != nullptr) {
+    std::ofstream out(*profile_path, std::ios::binary | std::ios::trunc);
+    out << obs::ExportFoldedStacks(tracer.Events());
+    out.flush();
+    if (!out) {
+      return Status::IoError("cannot write profile to " + *profile_path);
+    }
+  }
+  return Status::OK();
+}
+
 int ExitCodeForStatus(const Status& status) {
   switch (status.code()) {
     case StatusCode::kOk:
@@ -748,8 +745,8 @@ int Run(const std::vector<std::string>& args, std::ostream& out,
     status = CheckKnownFlags(
         *parsed, {"epsilon", "max-lhs", "deadline-ms", "memory-budget-mb",
                   "threads", "disk", "storage", "format",
-                  "stats", "trace", "report", "progress", "profile",
-                  "profile-out", "log-level",
+                  "stats", "trace", "report", "progress", "profile-out",
+                  "log-level",
                   "no-header", "delimiter", "checkpoint-dir",
                   "checkpoint-every-level", "resume", "stop-after-level"});
     if (status.ok()) status = RunDiscover(*parsed, out, err, &resumable);

@@ -10,6 +10,10 @@
 #include "util/status.h"
 
 namespace tane {
+namespace obs {
+class Tracer;
+}  // namespace obs
+
 namespace cli {
 
 /// Entry point of the `tane` command-line tool, factored out of main() so
@@ -42,6 +46,16 @@ int Run(const std::vector<std::string>& args, std::ostream& out,
 
 /// Maps a Status to the CLI's documented process exit code.
 int ExitCodeForStatus(const Status& status);
+
+/// Writes `discover`'s artifacts from `tracer`'s buffered events: the
+/// Chrome trace to `trace_path` (--trace) and the folded stacks to
+/// `profile_path` (--profile-out); a null path skips that artifact. Both
+/// come from one ring, so when it overflowed a single warning on `err`
+/// says they cover only the tail of the run.
+Status WriteTraceArtifacts(const obs::Tracer& tracer,
+                           const std::string* trace_path,
+                           const std::string* profile_path,
+                           std::ostream& err);
 
 /// Parses a dependency written with schema names, e.g. "city,zip->state"
 /// (left side may be empty: "->state" is the constancy dependency).

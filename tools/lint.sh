@@ -4,9 +4,7 @@
 #   1. tools/tane_lint.py      project rules (always runs; pure python)
 #   2. tools/tane_analyzer     semantic tier: lock-free protocol, signal-
 #                              safety, determinism, and handle-discipline
-#                              contracts (always runs; the libclang
-#                              frontend self-selects when available and
-#                              the token-level micro frontend otherwise;
+#                              contracts (always runs; pure python;
 #                              --skip-analyzer to omit)
 #   3. clang-tidy              .clang-tidy checks over compile_commands.json
 #                              (skipped when clang-tidy is not installed)

@@ -4,16 +4,10 @@ protocol contracts), async-signal-safety of the postmortem path, hash-order
 determinism in output-affecting translation units, and partition-handle
 pairing.
 
-Two interchangeable frontends produce the same IR (`model.SourceFile`):
-
-  clang  — libclang (clang.cindex) over the exported compile_commands.json;
-           used automatically when the bindings and a compilation database
-           are present.
-  micro  — a built-in token-level C++ reader; no dependencies, runs
-           everywhere, and is the reference frontend for the fixture tests.
-
-The rules (`rule_*.py`) only see the IR, so both frontends gate the same
-contracts. See DESIGN.md §16 for the protocol invariants enforced here.
+A token-level C++ reader (`micro_frontend`) lowers the sources to one IR
+(`model.SourceFile`) with no dependencies beyond Python, so the gate runs
+everywhere; the rules (`rule_*.py`) only see the IR. See DESIGN.md §16 for
+the protocol invariants enforced here.
 """
 
 __all__ = ["driver", "model"]

@@ -1,21 +1,16 @@
-"""tane-analyzer driver: frontend selection, waivers, baseline, reporting.
+"""tane-analyzer driver: rule runs, waivers, baseline, reporting.
 
 Usage:
   tools/tane_analyzer [--root DIR] [--baseline FILE] [--update-baseline]
-                      [--frontend auto|clang|micro] [--compdb FILE]
                       [--list]
 
 Semantics mirror tools/tane_lint.py: findings are content-addressed
 (`rule:path:normalized-line-text`), known ones live in
 tools/analyzer_baseline.json, a `tane-analyzer: allow(<rule>)` comment on
 the finding line or up to 3 lines above waives it, and the exit status is
-non-zero only for findings absent from the baseline.
-
-Frontends: `clang` lowers the TUs with libclang (clang.cindex) over the
-exported compile_commands.json; `micro` is the built-in token-level
-reader. `auto` (the default) tries clang and falls back — loudly — to
-micro, so the gate runs everywhere and is merely sharper where libclang
-exists.
+non-zero only for findings absent from the baseline. Sources are lowered
+by the built-in token-level reader (`micro_frontend`), which needs nothing
+beyond Python, so the gate runs everywhere.
 """
 
 import argparse
@@ -75,45 +70,12 @@ def discover_files(root):
     return files
 
 
-def _load_clang_frontend(root, compdb, notes):
-    """Returns a load_program(root, rel_paths) callable or None."""
-    try:
-        from . import clang_frontend
-    except Exception as error:  # pragma: no cover - import-time only
-        notes.append(f"clang frontend unavailable: {error}")
-        return None
-    problem = clang_frontend.probe(root, compdb)
-    if problem is not None:
-        notes.append(f"clang frontend unavailable: {problem}")
-        return None
-
-    def load(load_root, rel_paths):
-        return clang_frontend.load_program(load_root, rel_paths, compdb)
-
-    return load
-
-
-def analyze_tree(root, frontend="micro", compdb=None, notes=None):
+def analyze_tree(root):
     """Run all rules over `root`. Returns (findings, stats) where stats is
-    {rule: count} plus {"files": N, "frontend": name}. Waivers are already
-    applied; baseline is the caller's business."""
-    if notes is None:
-        notes = []
+    {rule: count} plus {"files": N}. Waivers are already applied; baseline
+    is the caller's business."""
     rel_paths = discover_files(root)
-
-    loader = None
-    chosen = "micro"
-    if frontend in ("auto", "clang"):
-        loader = _load_clang_frontend(root, compdb, notes)
-        if loader is not None:
-            chosen = "clang"
-        elif frontend == "clang":
-            raise RuntimeError("; ".join(notes) or
-                               "clang frontend unavailable")
-    if loader is None:
-        loader = micro_frontend.load_program
-
-    program = loader(root, rel_paths)
+    program = micro_frontend.load_program(root, rel_paths)
 
     findings = []
 
@@ -136,7 +98,6 @@ def analyze_tree(root, frontend="micro", compdb=None, notes=None):
     for finding in findings:
         stats[finding.rule] = stats.get(finding.rule, 0) + 1
     stats["files"] = len(rel_paths)
-    stats["frontend"] = chosen
     return findings, stats
 
 
@@ -149,11 +110,6 @@ def main(argv):
                              "tools/analyzer_baseline.json)")
     parser.add_argument("--update-baseline", action="store_true",
                         help="accept the current findings as the baseline")
-    parser.add_argument("--frontend", choices=("auto", "clang", "micro"),
-                        default="auto")
-    parser.add_argument("--compdb", default=None,
-                        help="compile_commands.json for the clang frontend "
-                             "(default: <root>/build/compile_commands.json)")
     parser.add_argument("--list", action="store_true",
                         help="print every finding, baselined or not")
     args = parser.parse_args(argv[1:])
@@ -162,19 +118,8 @@ def main(argv):
             else os.path.dirname(TOOLS_DIR))
     baseline_path = args.baseline or os.path.join(
         TOOLS_DIR, "analyzer_baseline.json")
-    compdb = args.compdb or os.path.join(root, "build",
-                                         "compile_commands.json")
     started = time.monotonic()
-
-    notes = []
-    try:
-        findings, stats = analyze_tree(root, frontend=args.frontend,
-                                       compdb=compdb, notes=notes)
-    except RuntimeError as error:
-        print(f"tane-analyzer: FAIL: {error}", file=sys.stderr)
-        return 1
-    for note in notes:
-        print(f"tane-analyzer: note: {note}")
+    findings, stats = analyze_tree(root)
 
     def fail(message):
         print(f"tane-analyzer: FAIL: {message}", file=sys.stderr)
@@ -207,7 +152,6 @@ def main(argv):
         print(finding, file=sys.stderr)
 
     elapsed = time.monotonic() - started
-    print(f"tane-analyzer: frontend={stats['frontend']}")
     for name in RULE_NAMES:
         print(f"tane-analyzer: {name:<17} {stats.get(name, 0)} findings")
     print(f"tane-analyzer: {stats['files']} files, {len(findings)} "

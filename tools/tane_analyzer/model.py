@@ -1,7 +1,7 @@
-"""Frontend-neutral IR for tane-analyzer.
+"""The IR of tane-analyzer.
 
-Both frontends (clang.cindex and the token-level micro reader) lower a
-translation unit to one `SourceFile`. Rules consume a `Program` — the whole
+The token-level micro frontend lowers each translation unit to one
+`SourceFile`. Rules consume a `Program` — the whole
 set of SourceFiles plus cross-file name indexes — and never look at raw
 text except to anchor findings to a line.
 
