@@ -71,6 +71,15 @@ Status MemoryPartitionStore::Release(int64_t handle) {
   return Status::OK();
 }
 
+int64_t MemoryPartitionStore::live_partitions() const {
+  int64_t total = 0;
+  for (const Stripe& stripe : stripes_) {
+    ReaderMutexLock lock(&stripe.mu);
+    total += static_cast<int64_t>(stripe.partitions.size());
+  }
+  return total;
+}
+
 int64_t MemoryPartitionStore::resident_bytes() const {
   int64_t total = 0;
   for (const Stripe& stripe : stripes_) {

@@ -71,16 +71,21 @@ class PartitionStore {
 
   /// Brackets a parallel task window. Between BeginTaskWindow and
   /// EndTaskWindow the driver's workers hold Peek borrows while other
-  /// threads Put, so implementations must not relocate or evict resident
-  /// partitions mid-window — the kAuto store defers its memory-to-disk
-  /// spill migration to EndTaskWindow. The driver guarantees no Release
-  /// happens inside a window. Defaults are no-ops for stores that never
-  /// relocate resident data.
+  /// threads Put and Release, so implementations must not relocate or evict
+  /// resident partitions mid-window — the kAuto store defers its
+  /// memory-to-disk spill migration to EndTaskWindow. The driver releases a
+  /// handle inside a window only once no in-flight or later task reads it,
+  /// so a Release never frees a partition under a borrow. Defaults are
+  /// no-ops for stores that never relocate resident data.
   virtual void BeginTaskWindow() {}
   virtual Status EndTaskWindow() { return Status::OK(); }
 
   /// Bytes currently resident in main memory on behalf of the store.
   virtual int64_t resident_bytes() const = 0;
+
+  /// Partitions stored and not yet released. Zero once a run has released
+  /// every handle it was issued.
+  virtual int64_t live_partitions() const = 0;
 
   /// Total bytes ever written to secondary storage (0 for memory stores).
   virtual int64_t bytes_written() const = 0;
@@ -104,6 +109,7 @@ class MemoryPartitionStore : public PartitionStore {
   Status Release(int64_t handle) override;
   const StrippedPartition* Peek(int64_t handle) const override;
   int64_t resident_bytes() const override;
+  int64_t live_partitions() const override;
   int64_t bytes_written() const override { return 0; }
 
  private:
@@ -166,6 +172,10 @@ class DiskPartitionStore : public PartitionStore {
     metrics_ = metrics;
   }
   int64_t resident_bytes() const override { return 0; }
+  int64_t live_partitions() const override {
+    ReaderMutexLock lock(&mu_);
+    return static_cast<int64_t>(entries_.size());
+  }
   int64_t bytes_written() const override {
     ReaderMutexLock lock(&mu_);
     return bytes_written_;
@@ -260,6 +270,10 @@ class AutoPartitionStore : public PartitionStore {
   int64_t resident_bytes() const override {
     ReaderMutexLock lock(&mu_);
     return disk_ == nullptr ? memory_.resident_bytes() : 0;
+  }
+  int64_t live_partitions() const override {
+    ReaderMutexLock lock(&mu_);
+    return static_cast<int64_t>(inner_handles_.size());
   }
   int64_t bytes_written() const override {
     ReaderMutexLock lock(&mu_);

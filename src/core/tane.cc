@@ -75,10 +75,12 @@ struct Node {
 // memory-backed and maintaining a small LRU of deserialized partitions when
 // it is disk-backed. Pointers stay valid for at least the `capacity - 1`
 // following Acquire calls, which suffices for the two-operand uses here.
-// Borrowed pointers also survive concurrent Puts from the commit frontier
-// (the stores guarantee reference stability within a task window); the
-// driver never Releases a handle while a window is in flight. Not
-// thread-safe itself; the parallel executor keeps one accessor per worker.
+// Borrowed pointers also survive concurrent Puts and Releases of other
+// handles from the commit frontier (the stores guarantee reference
+// stability within a task window); the frontier releases a parent inside a
+// window only once its last consumer has committed, so no in-flight or
+// later task can still read it. Not thread-safe itself; the parallel
+// executor keeps one accessor per worker.
 class PartitionAccessor {
  public:
   PartitionAccessor(PartitionStore* store, size_t capacity)
@@ -170,18 +172,25 @@ struct WindowSlot {
   std::atomic<int> done{0};
 };
 
-// Immutable inputs of one fused level window: the candidates (in node
-// order) with their pre-seeded C⁺ sets, and the parent level backing the
-// validity tests.
+// Inputs of one fused level window: the candidates (in node order) with
+// their pre-seeded C⁺ sets, and the parent level backing the products and
+// validity tests. Only the parents' handles change during the window: the
+// commit frontier clears each one as it releases that parent.
 struct WindowInputs {
   // The level being built (its nodes' |X|).
   int level_number = 1;
   const std::vector<AttributeSet>* sets = nullptr;
   const std::vector<AttributeSet>* cplus = nullptr;
-  // Parent level (survivors of level_number - 1) and its index; nullptr at
-  // level 1, where the tests run against π_∅.
-  const std::vector<Node>* parents = nullptr;
-  const LevelIndex* parent_index = nullptr;
+  // Parent level (survivors of level_number - 1) and, per candidate, the
+  // parent positions of its level_number subsets X∖{A} (stride
+  // level_number, A ascending; see GenerateNextLevel). nullptr at level 1,
+  // where the tests run against π_∅.
+  std::vector<Node>* parents = nullptr;
+  const std::vector<int>* subset_positions = nullptr;
+  // Per parent, the last candidate with it as a subset (-1: none). When
+  // set, CommitOneSlot(i) releases the parents whose last consumer is i;
+  // nullptr keeps every parent to the level boundary.
+  const std::vector<int64_t>* last_consumer = nullptr;
   // Fold mode at level 1: keep a resident copy of every singleton partition
   // next to the stored one.
   bool stash_singletons = false;
@@ -265,6 +274,9 @@ class TaneRun {
 
   Status Run(DiscoveryResult* result);
 
+  // Partitions still in the store; zero after Run on every path.
+  int64_t live_partitions() const { return store_->live_partitions(); }
+
  private:
   using BuildFn = std::function<StatusOr<StrippedPartition>(WorkerState*,
                                                             int64_t)>;
@@ -283,11 +295,12 @@ class TaneRun {
   // lines 7-8 commute (set differences and intersections), so applying them
   // against a snapshot here and merging later reproduces the serial result
   // exactly.
+  // `subsets` holds the positions in `prev` of the node's subsets X∖{A},
+  // A ascending (unused at level 1).
   Status ProcessNode(int level_number, const Node& node,
                      const StrippedPartition* fine,
-                     const std::vector<Node>* prev,
-                     const LevelIndex* prev_index, WorkerState* w,
-                     NodeOutcome* out);
+                     const std::vector<Node>* prev, const int* subsets,
+                     WorkerState* w, NodeOutcome* out);
 
   // PRUNE(L_ℓ), paper §5. Marks nodes deleted and emits key dependencies.
   Status Prune(int level_number, std::vector<Node>* level,
@@ -325,9 +338,10 @@ class TaneRun {
   void CommitReadySlots(WindowContext* ctx, bool blocking)
       TANE_EXCLUDES(ctx->mu);
 
-  // Commits slot `i`: stores the partition, appends the node, and runs the
-  // strided resident-bytes budget check. Called only at the frontier, in
-  // candidate order.
+  // Commits slot `i`: stores the partition, appends the node, releases the
+  // parents whose last consumer is `i`, and runs the strided
+  // resident-bytes budget check. Called only at the frontier, in candidate
+  // order.
   Status CommitOneSlot(WindowContext* ctx, int64_t i)
       TANE_REQUIRES(ctx->mu);
 
@@ -342,8 +356,10 @@ class TaneRun {
   // it wound down (all handles released; the caller exits the loop). Shared
   // by the level loop and the resume prologue, which is what lets a
   // restored run re-enter the lattice mid-flight through the exact same
-  // code path. Survivor handles are released before returning in every
-  // case: the window already consumed them for products and validity tests.
+  // code path. On success every survivor handle is released exactly once
+  // before returning: inside the window as soon as its last consumer
+  // commits (unless a wind-down snapshot of this level may still be
+  // written), else here. On error the caller releases what is left.
   StatusOr<bool> AdvanceLevel(int level_number, std::vector<Node>* survivors,
                               std::vector<Node>* current,
                               DiscoveryResult* result);
@@ -353,15 +369,19 @@ class TaneRun {
   Status WriteCheckpoint(int level_number, const std::vector<Node>& survivors,
                          DiscoveryResult* result);
 
-  // WriteCheckpoint unless the latest durable snapshot already covers
-  // `level_number` (per-level checkpointing got there first, or the run
-  // resumed from it and made no progress).
+  // True while a wind-down snapshot of `level_number` may still be
+  // written: checkpointing is on and no durable snapshot covers the level
+  // yet (per-level checkpointing, or a resume from it, already does). The
+  // one predicate behind both the wind-down write and the survivors'
+  // lifetime — while it holds, every survivor must live to the boundary.
+  bool WindDownSnapshotPending(int level_number) const {
+    return checkpointing() && last_checkpoint_level_ < level_number;
+  }
+
   Status MaybeWindDownCheckpoint(int level_number,
                                  const std::vector<Node>& survivors,
                                  DiscoveryResult* result) {
-    if (!checkpointing() || last_checkpoint_level_ >= level_number) {
-      return Status::OK();
-    }
+    if (!WindDownSnapshotPending(level_number)) return Status::OK();
     return WriteCheckpoint(level_number, survivors, result);
   }
 
@@ -381,7 +401,18 @@ class TaneRun {
                                                  : max_removals_) == 0;
   }
 
+  // Releases `node`'s partition, at most once: the handle is cleared
+  // before the store sees it, so a failed Release is never retried.
+  Status ReleaseNode(Node* node);
+  // Releases every live handle in `nodes`, continuing past failures;
+  // returns the first.
   Status ReleaseHandles(std::vector<Node>* nodes);
+  // Error exit with a level still live: releases it (logging a cleanup
+  // failure, `status` takes precedence) and returns `status`.
+  Status AbandonLevel(Status status, std::vector<Node>* nodes) {
+    LogIgnoredStatus(ReleaseHandles(nodes), "releasing the level");
+    return status;
+  }
   void SamplePeakMemory();
 
   int64_t AccessorCacheBytes() const {
@@ -525,22 +556,17 @@ class TaneRun {
 
   // Seeds C⁺ for one candidate of `level_number` (line 2 of
   // COMPUTE-DEPENDENCIES: ∩ of the parents' C⁺, full set at level 1) and
-  // applies the covered-rhs pruning. Runs on the coordinator before the
-  // level window, so every task starts from its final seeded value.
+  // applies the covered-rhs pruning. `subsets` holds the positions in
+  // `parents` of the set's level_number subsets (unused at level 1). Runs
+  // on the coordinator before the level window, so every task starts from
+  // its final seeded value.
   AttributeSet SeedCplus(int level_number, AttributeSet set,
                          const std::vector<Node>* parents,
-                         const LevelIndex* parent_index) {
+                         const int* subsets) {
     AttributeSet cplus = AttributeSet::FullSet(relation_.num_columns());
     if (level_number > 1) {
-      for (int attribute : Members(set)) {
-        const int pos = parent_index->Find(set.Without(attribute));
-        // Invariant: candidate generation only emits sets whose subsets
-        // survived the previous level.
-        // tane-lint: allow(tane-check)
-        TANE_CHECK(pos >= 0) << "level invariant broken: missing subset of "
-                             << set.ToString();
-        cplus = cplus.Intersect((*parents)[pos].cplus);
-        if (cplus.empty()) break;
+      for (int k = 0; k < level_number && !cplus.empty(); ++k) {
+        cplus = cplus.Intersect((*parents)[subsets[k]].cplus);
       }
     }
     // Covered-rhs pruning: a candidate A outside X is dead once some known
@@ -648,15 +674,19 @@ void TaneRun::SamplePeakMemory() {
   metrics_.MaxGauge(obs::kPeakResidentBytes, resident);
 }
 
+Status TaneRun::ReleaseNode(Node* node) {
+  if (node->handle < 0) return Status::OK();
+  return store_->Release(std::exchange(node->handle, -1));
+}
+
 Status TaneRun::ReleaseHandles(std::vector<Node>* nodes) {
+  Status first = Status::OK();
   for (Node& node : *nodes) {
-    if (node.handle >= 0) {
-      TANE_RETURN_IF_ERROR(store_->Release(node.handle));
-      node.handle = -1;
-    }
+    Status status = ReleaseNode(&node);
+    if (first.ok()) first = std::move(status);
   }
   ClearAccessors();
-  return Status::OK();
+  return first;
 }
 
 Status TaneRun::TestValidity(WorkerState* w, int64_t prev_error,
@@ -698,8 +728,9 @@ Status TaneRun::TestValidity(WorkerState* w, int64_t prev_error,
 
   const StrippedPartition* coarse = nullptr;
   if (prev_handle >= 0) {
-    // Borrowed via the worker's accessor LRU; the level driver releases
-    // every worker's borrows with ReleaseHandles at the level boundary.
+    // Borrowed via the worker's accessor LRU; the commit frontier releases
+    // the handle once its last consumer commits, or the level driver at
+    // the boundary.
     // tane-analyzer: allow(handle-discipline)
     TANE_ASSIGN_OR_RETURN(coarse, w->accessor.Acquire(prev_handle));
   } else {
@@ -751,9 +782,8 @@ Status TaneRun::TestValidity(WorkerState* w, int64_t prev_error,
 
 Status TaneRun::ProcessNode(int level_number, const Node& node,
                             const StrippedPartition* fine,
-                            const std::vector<Node>* prev,
-                            const LevelIndex* prev_index, WorkerState* w,
-                            NodeOutcome* out) {
+                            const std::vector<Node>* prev, const int* subsets,
+                            WorkerState* w, NodeOutcome* out) {
   // Lines 3-8 for one node: test X\{A} → A for A ∈ X ∩ C⁺(X). The
   // candidate set is snapshot before any test, exactly like the serial
   // loop, so C⁺ updates from this node's own emissions never affect which
@@ -761,17 +791,13 @@ Status TaneRun::ProcessNode(int level_number, const Node& node,
   AttributeSet cplus = node.cplus;
   const AttributeSet candidates = node.set.Intersect(node.cplus);
   for (int attribute : Members(candidates)) {
-    const AttributeSet lhs = node.set.Without(attribute);
     int64_t prev_error = empty_error_;
     int64_t prev_handle = -1;
     if (level_number > 1) {
-      const int prev_pos = prev_index->Find(lhs);
-      // Invariant: candidate generation only emits sets whose
-      // subsets survived the previous level.
-      // tane-lint: allow(tane-check)
-      TANE_CHECK(prev_pos >= 0);
-      prev_error = (*prev)[prev_pos].error;
-      prev_handle = (*prev)[prev_pos].handle;
+      // X∖{A} is the subset for A's rank among X's members.
+      const Node& parent = (*prev)[subsets[node.set.Rank(attribute)]];
+      prev_error = parent.error;
+      prev_handle = parent.handle;
     }
 
     bool valid = false;
@@ -895,8 +921,9 @@ StatusOr<StrippedPartition> TaneRun::BuildCandidatePartition(
     WorkerState* w, const LevelCandidate& candidate,
     const std::vector<Node>& survivors) {
   if (config_.use_partition_products) {
-    // Both parents are borrows through the worker's accessor LRU, released
-    // in bulk by ReleaseHandles at the level boundary (see RunLevel).
+    // Both parents are borrows through the worker's accessor LRU; the
+    // commit frontier releases them once their last consumer commits, or
+    // AdvanceLevel at the level boundary.
     // tane-analyzer: allow(handle-discipline)
     TANE_ASSIGN_OR_RETURN(
         const StrippedPartition* a,
@@ -964,6 +991,18 @@ Status TaneRun::CommitOneSlot(WindowContext* ctx, int64_t i) {
   }
   ctx->nodes.push_back(node);
   metrics_.AddShared(obs::kSetsGenerated, 1);
+
+  // Every task up to `i` has committed and no later one reads these
+  // parents, so they are dead; release them in candidate order.
+  if (const std::vector<int64_t>* last = ctx->in->last_consumer) {
+    const int stride = ctx->in->level_number;
+    const int* subsets = ctx->in->subset_positions->data() + i * stride;
+    for (int k = 0; k < stride; ++k) {
+      if ((*last)[subsets[k]] == i) {
+        TANE_RETURN_IF_ERROR(ReleaseNode(&(*ctx->in->parents)[subsets[k]]));
+      }
+    }
+  }
 
   if ((i & 15) == 0) {
     // Strided mid-window accounting: worker scratch and accessor caches are
@@ -1039,9 +1078,12 @@ Status TaneRun::RunLevelWindow(const WindowInputs& in, const BuildFn& build,
     node.set = (*in.sets)[i];
     node.cplus = (*in.cplus)[i];
     node.error = built.Error();
+    const int* subsets =
+        in.subset_positions == nullptr
+            ? nullptr
+            : in.subset_positions->data() + i * in.level_number;
     slot.outcome.status = ProcessNode(in.level_number, node, &built,
-                                      in.parents, in.parent_index, w,
-                                      &slot.outcome);
+                                      in.parents, subsets, w, &slot.outcome);
     slot.outcome.processed = true;
     metrics_.Add(w->shard, obs::kNodesProcessed, 1);
   };
@@ -1306,9 +1348,10 @@ StatusOr<bool> TaneRun::AdvanceLevel(int level_number,
   survivor_sets.reserve(survivors->size());
   for (const Node& node : *survivors) survivor_sets.push_back(node.set);
   std::vector<LevelCandidate> candidates;
+  std::vector<int> subset_positions;
   {
     obs::SpanGuard span(tracer_, "generate", &metrics_);
-    candidates = GenerateNextLevel(survivor_sets);
+    candidates = GenerateNextLevel(survivor_sets, &subset_positions);
   }
   if (candidates.empty()) {
     // Nothing above this level: the loop exits without entering a new
@@ -1317,7 +1360,6 @@ StatusOr<bool> TaneRun::AdvanceLevel(int level_number,
     current->clear();
     return true;
   }
-  const LevelIndex survivor_index(survivor_sets);
 
   const int next_level = level_number + 1;
   std::vector<AttributeSet> sets(candidates.size());
@@ -1325,10 +1367,29 @@ StatusOr<bool> TaneRun::AdvanceLevel(int level_number,
   int64_t est_row_work = 0;
   for (size_t i = 0; i < candidates.size(); ++i) {
     sets[i] = candidates[i].set;
-    cplus[i] = SeedCplus(next_level, sets[i], survivors, &survivor_index);
+    cplus[i] = SeedCplus(next_level, sets[i], survivors,
+                         subset_positions.data() + i * next_level);
     est_row_work +=
         std::min((*survivors)[candidates[i].parent_a].member_rows,
                  (*survivors)[candidates[i].parent_b].member_rows);
+  }
+
+  // Parent lifetimes: a survivor is dead once the last candidate with it as
+  // a subset has committed — that candidate's product and g3 scans are the
+  // last reads of it. Unless a wind-down snapshot of this level may still
+  // need every survivor, the window releases each parent at that commit,
+  // and survivors no candidate reads go now.
+  std::vector<int64_t> last_consumer;
+  if (!WindDownSnapshotPending(level_number)) {
+    last_consumer.assign(survivors->size(), -1);
+    for (size_t k = 0; k < subset_positions.size(); ++k) {
+      last_consumer[subset_positions[k]] =
+          static_cast<int64_t>(k) / next_level;
+    }
+    for (size_t p = 0; p < survivors->size(); ++p) {
+      if (last_consumer[p] >= 0) continue;
+      TANE_RETURN_IF_ERROR(ReleaseNode(&(*survivors)[p]));
+    }
   }
 
   // The next level's timing row is pushed before its window so the fused
@@ -1346,7 +1407,8 @@ StatusOr<bool> TaneRun::AdvanceLevel(int level_number,
   in.sets = &sets;
   in.cplus = &cplus;
   in.parents = survivors;
-  in.parent_index = &survivor_index;
+  in.subset_positions = &subset_positions;
+  if (!last_consumer.empty()) in.last_consumer = &last_consumer;
   in.est_row_work = est_row_work;
   std::vector<Node> next;
   Status window_status;
@@ -1369,15 +1431,15 @@ StatusOr<bool> TaneRun::AdvanceLevel(int level_number,
     // Hard error (store I/O, budget breach): snapshot the level boundary
     // while the survivors are still live — a budget breach under
     // checkpointing becomes a resumable failure the caller can retry with
-    // a different storage plan — then release everything before surfacing
-    // it. The window error takes precedence over cleanup failures, but
-    // those still get a log line each.
+    // a different storage plan — then release the half-built next level
+    // before surfacing it (the caller releases the survivors). The window
+    // error takes precedence over cleanup failures, but those still get a
+    // log line each.
     stats_.level_parallel.pop_back();
     LogIgnoredStatus(
         MaybeWindDownCheckpoint(level_number, *survivors, result),
         "checkpoint during error wind-down");
     LogIgnoredStatus(ReleaseHandles(&next), "releasing next level");
-    LogIgnoredStatus(ReleaseHandles(survivors), "releasing survivors");
     return window_status;
   }
   if (stopped()) {
@@ -1396,7 +1458,8 @@ StatusOr<bool> TaneRun::AdvanceLevel(int level_number,
   }
 
   // The window consumed the survivors completely — products and validity
-  // scans both ran inside it — so their partitions are dead in every mode.
+  // scans both ran inside it — so whatever it did not release already is
+  // dead too.
   TANE_RETURN_IF_ERROR(ReleaseHandles(survivors));
   *current = std::move(next);
   return true;
@@ -1434,8 +1497,9 @@ Status TaneRun::Run(DiscoveryResult* result) {
     // Resume: rebuild the boundary state of the checkpointed level and
     // re-enter the lattice through the same advance path the loop uses.
     std::vector<Node> survivors;
-    TANE_RETURN_IF_ERROR(
-        RestoreFromSnapshot(*resume_snapshot_, result, &survivors));
+    Status restored =
+        RestoreFromSnapshot(*resume_snapshot_, result, &survivors);
+    if (!restored.ok()) return AbandonLevel(std::move(restored), &survivors);
     level_number = resume_snapshot_->completed_level;
     if (stats_.level_parallel.empty()) {
       // Defensive: a well-formed snapshot always carries its level rows.
@@ -1444,10 +1508,10 @@ Status TaneRun::Run(DiscoveryResult* result) {
       row.nodes = static_cast<int64_t>(survivors.size());
       stats_.level_parallel.push_back(row);
     }
-    TANE_ASSIGN_OR_RETURN(
-        const bool advanced,
-        AdvanceLevel(level_number, &survivors, &current, result));
-    if (advanced) ++level_number;
+    StatusOr<bool> advanced =
+        AdvanceLevel(level_number, &survivors, &current, result);
+    if (!advanced.ok()) return AbandonLevel(advanced.status(), &survivors);
+    if (*advanced) ++level_number;
     // !advanced leaves `current` empty, skipping the loop: the run wound
     // down again (suspend, stop, ...) before making progress.
   } else if (num_attributes > 0) {
@@ -1486,7 +1550,7 @@ Status TaneRun::Run(DiscoveryResult* result) {
           },
           &current, &stats_.level_parallel.back());
     }
-    TANE_RETURN_IF_ERROR(seed_status);
+    if (!seed_status.ok()) return AbandonLevel(seed_status, &current);
     if (stopped()) {
       // Stopped during seeding: nothing was merged, so the partial level 1
       // contributes nothing; drop it — including its timing row, since the
@@ -1498,7 +1562,8 @@ Status TaneRun::Run(DiscoveryResult* result) {
       current.clear();
     }
     SamplePeakMemory();
-    TANE_RETURN_IF_ERROR(CheckMemoryBudget());
+    Status budget = CheckMemoryBudget();
+    if (!budget.ok()) return AbandonLevel(std::move(budget), &current);
   }
 
   while (!current.empty()) {
@@ -1525,11 +1590,13 @@ Status TaneRun::Run(DiscoveryResult* result) {
       // The window already ran this level's validity tests; what remains is
       // the serial in-node-order merge of emissions and C⁺ updates.
       obs::SpanGuard span(tracer_, "validity", &metrics_);
-      TANE_RETURN_IF_ERROR(MergeOutcomes(&current, result));
+      Status merged = MergeOutcomes(&current, result);
+      if (!merged.ok()) return AbandonLevel(std::move(merged), &current);
     }
     {
       obs::SpanGuard span(tracer_, "prune", &metrics_);
-      TANE_RETURN_IF_ERROR(Prune(level_number, &current, result));
+      Status pruned = Prune(level_number, &current, result);
+      if (!pruned.ok()) return AbandonLevel(std::move(pruned), &current);
     }
     result->completed_levels = level_number;
 
@@ -1546,10 +1613,10 @@ Status TaneRun::Run(DiscoveryResult* result) {
       break;
     }
 
-    TANE_ASSIGN_OR_RETURN(
-        const bool advanced,
-        AdvanceLevel(level_number, &survivors, &current, result));
-    if (!advanced) break;
+    StatusOr<bool> advanced =
+        AdvanceLevel(level_number, &survivors, &current, result);
+    if (!advanced.ok()) return AbandonLevel(advanced.status(), &survivors);
+    if (!*advanced) break;
     ++level_number;
   }
 
@@ -1660,7 +1727,17 @@ StatusOr<DiscoveryResult> Tane::Discover(const Relation& relation,
 
   DiscoveryResult result;
   TaneRun run(relation, config, std::move(store), resume_snapshot.get());
-  TANE_RETURN_IF_ERROR(run.Run(&result));
+  const Status status = run.Run(&result);
+  // Handle discipline: every path releases each stored partition exactly
+  // once, so the store ends empty. A leak fails an otherwise successful
+  // run and is logged on an error path, where the run's error wins.
+  if (const int64_t leaked = run.live_partitions(); leaked != 0) {
+    Status leak = Status::Internal(std::to_string(leaked) +
+                                   " partition handles were never released");
+    if (status.ok()) return leak;
+    LogIgnoredStatus(leak, "releasing every partition");
+  }
+  TANE_RETURN_IF_ERROR(status);
   if (auto_store != nullptr) {
     result.stats.degraded_to_disk = auto_store->spilled();
   }

@@ -45,6 +45,11 @@ class AttributeSet {
   constexpr uint64_t mask() const { return mask_; }
   constexpr bool empty() const { return mask_ == 0; }
   int size() const { return std::popcount(mask_); }
+  /// Number of members below `attribute`: its index among the members in
+  /// ascending order when it is one.
+  int Rank(int attribute) const {
+    return std::popcount(mask_ & ((uint64_t{1} << attribute) - 1));
+  }
 
   constexpr bool Contains(int attribute) const {
     return (mask_ >> attribute) & 1;

@@ -54,8 +54,15 @@ struct LevelCandidate {
 /// `level` must contain distinct sets of a single uniform size ℓ >= 1.
 /// Candidates are returned in ascending (parent_a, parent_b) order, which is
 /// deterministic and keeps all candidates of one left parent adjacent.
+///
+/// The join already looks up every ℓ-subset of each candidate; when
+/// `subset_positions` is non-null it receives those positions, so later
+/// phases need no hash lookups: a flat array with stride ℓ+1 whose entry
+/// [c·(ℓ+1) + k] is the position in `level` of X∖{A} for candidate c = X
+/// and A its k-th member in ascending order.
 std::vector<LevelCandidate> GenerateNextLevel(
-    const std::vector<AttributeSet>& level);
+    const std::vector<AttributeSet>& level,
+    std::vector<int>* subset_positions = nullptr);
 
 }  // namespace tane
 

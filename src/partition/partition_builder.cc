@@ -41,6 +41,7 @@ StrippedPartition PartitionBuilder::ForAttribute(const Relation& relation,
     out.class_offsets_.push_back(static_cast<int32_t>(out.row_ids_.size()));
   }
   out.row_ids_.shrink_to_fit();
+  out.class_offsets_.shrink_to_fit();
   return out;
 }
 

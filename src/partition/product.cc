@@ -141,12 +141,15 @@ void PartitionProduct::SizeScratch() {
   // +2 on the per-class arrays: one slot for the trash bucket, and one more
   // so the touched list's branch-free unconditional store stays in bounds
   // after every group (including trash) has been recorded. The bucket arena
-  // holds `a`'s member rows plus a trash bucket for a full `b` class.
+  // holds `a`'s member rows plus a trash bucket for a full `b` class. The
+  // output scratch holds at most |r| member rows and |r| + 1 offsets.
   probe_.assign(num_rows_, -1);
   groups_.assign(num_rows_, 0);
   group_size_.assign(num_rows_ + 2, 0);
   touched_.assign(num_rows_ + 2, 0);
   bucket_data_.resize(2 * num_rows_);
+  out_rows_.assign(num_rows_, 0);
+  out_offsets_.assign(num_rows_ + 1, 0);
 }
 
 void PartitionProduct::CountAllocation() {
@@ -213,22 +216,15 @@ StatusOr<StrippedPartition> PartitionProduct::Multiply(
   }
   const int32_t base = static_cast<int32_t>(probe_base_);
 
-  // Output bounds: every emitted row is a member row of both operands, and
-  // every emitted class holds at least min_size of them.
-  const size_t row_bound = std::min(a.row_ids().size(), b.row_ids().size());
-  const size_t offsets_bound =
-      row_bound / static_cast<size_t>(min_size) + 1;
-
-  std::vector<int32_t> out_rows;
-  std::vector<int32_t> out_offsets;
-  if (row_bound > 0) {
-    out_rows.reserve(row_bound);
-    CountAllocation();
-  }
-  out_offsets.reserve(offsets_bound);
-  CountAllocation();
-  out_offsets.push_back(0);
+  // The product emits into the per-worker output scratch (sized for the
+  // worst case once, like every other scratch array) and is copied into
+  // exactly sized arrays at the end, so a stored partition costs its
+  // (m + c + 1) words and no more.
+  int32_t* const out_rows = out_rows_.data();
+  int32_t* const out_offsets = out_offsets_.data();
+  out_offsets[0] = 0;
   int32_t out_size = 0;
+  int64_t out_classes = 0;
 
   // Pass 2, per class of `b`: a branch-free scatter routes each of the
   // class's rows into a flat bucket per `a` class — bucket `g` lives at
@@ -239,9 +235,7 @@ StatusOr<StrippedPartition> PartitionProduct::Multiply(
   // extends to the trash bucket with no special-casing — one select per
   // row, every store unconditional. Trash is filtered at emission, so the
   // state is exactly as if invalid rows were skipped. Qualifying buckets
-  // then stream into the output with a straight contiguous copy (appends
-  // within the reserved capacity: no reallocation, and no zero-fill of the
-  // row bound).
+  // then stream into the output scratch with a straight contiguous copy.
   //
   // Two cache-conscious regimes, both pure functions of operand shape (so
   // the output is identical for every thread count):
@@ -310,10 +304,9 @@ StatusOr<StrippedPartition> PartitionProduct::Multiply(
         const int32_t count = cursor[g] - bucket_begin;
         cursor[g] = bucket_begin;
         if (count < min_size) continue;
-        out_rows.insert(out_rows.end(), bucket_data + bucket_begin,
-                        bucket_data + bucket_begin + count);
+        std::copy_n(bucket_data + bucket_begin, count, out_rows + out_size);
         out_size += count;
-        out_offsets.push_back(out_size);
+        out_offsets[++out_classes] = out_size;
       }
       cursor[trash_group] = bucket_base[trash_group];
     }
@@ -339,10 +332,10 @@ StatusOr<StrippedPartition> PartitionProduct::Multiply(
         const int32_t count = group_size[group];
         group_size[group] = 0;
         if (count < min_size || group == trash_group) continue;
-        const int32_t* const bucket = bucket_data + bucket_base[group];
-        out_rows.insert(out_rows.end(), bucket, bucket + count);
+        std::copy_n(bucket_data + bucket_base[group], count,
+                    out_rows + out_size);
         out_size += count;
-        out_offsets.push_back(out_size);
+        out_offsets[++out_classes] = out_size;
       }
     }
   }
@@ -353,12 +346,20 @@ StatusOr<StrippedPartition> PartitionProduct::Multiply(
     if (reuse) {
       metrics_->Add(metrics_shard_, obs::kProductLabelReuses, 1);
     }
-    metrics_->Record(metrics_shard_, obs::kProductClasses,
-                     static_cast<int64_t>(out_offsets.size()) - 1);
+    metrics_->Record(metrics_shard_, obs::kProductClasses, out_classes);
     metrics_->Record(metrics_shard_, obs::kProductMemberRows, out_size);
   }
-  return StrippedPartition(a.num_rows(), a.stripped(), std::move(out_rows),
-                           std::move(out_offsets));
+  // Exactly sized copies: a product with no member rows allocates only its
+  // offsets array.
+  std::vector<int32_t> rows;
+  if (out_size > 0) {
+    rows.assign(out_rows, out_rows + out_size);
+    CountAllocation();
+  }
+  std::vector<int32_t> offsets(out_offsets, out_offsets + out_classes + 1);
+  CountAllocation();
+  return StrippedPartition(a.num_rows(), a.stripped(), std::move(rows),
+                           std::move(offsets));
 }
 
 }  // namespace tane

@@ -31,13 +31,15 @@ class MetricsRegistry;
 /// All scratch is flat arrays — an O(|r|) epoch-labelled probe table (no
 /// reset pass between calls), the SoA group stream, a bucket arena laid out
 /// by `a`'s own CSR offsets (each bucket's capacity is exactly its `a`
-/// class size), and a per-class cursor/count array — sized once by the
-/// constructor from `num_rows` and reused across calls. Surviving buckets
-/// stream into the output with contiguous copies, so Multiply performs no
-/// per-class heap allocations: its only allocations are the output's rows
-/// and offsets arrays, and allocations() counts them — two per product
-/// (one when an operand has no member rows, since an empty rows array
-/// allocates nothing).
+/// class size), a per-class cursor/count array, and the output's rows and
+/// offsets — sized once by the constructor from `num_rows` and reused
+/// across calls. Surviving buckets stream into the output scratch with
+/// contiguous copies, and the finished product is copied into exactly
+/// sized arrays, so the result's EstimatedBytes() is its true footprint of
+/// 4·(member rows + classes + 1) bytes. Multiply performs no per-class heap
+/// allocations: its only allocations are those two exact arrays, and
+/// allocations() counts them — two per product, one for a product with no
+/// member rows (an empty rows array allocates nothing).
 ///
 /// Every shape-dependent strategy choice is a pure function of the
 /// operands, so the output (and the allocation count) is bit-identical
@@ -119,12 +121,13 @@ class PartitionProduct {
   int64_t probe_base_for_testing() const { return probe_base_; }
 
   /// Bytes retained by the reusable scratch arrays (probe table, SoA group
-  /// stream, per-class size arrays, bucket arena), for memory-budget
-  /// accounting.
+  /// stream, per-class size arrays, bucket arena, output scratch), for
+  /// memory-budget accounting.
   int64_t ScratchBytes() const {
     return static_cast<int64_t>(
         (probe_.capacity() + group_size_.capacity() + touched_.capacity() +
-         bucket_data_.capacity() + groups_.capacity()) *
+         bucket_data_.capacity() + groups_.capacity() +
+         out_rows_.capacity() + out_offsets_.capacity()) *
         sizeof(int32_t));
   }
 
@@ -171,6 +174,10 @@ class PartitionProduct {
   // end offset `a`'s CSR array already carries, sized for a full `b` class
   // (hence the a.rows + b.rows arena bound).
   std::vector<int32_t> bucket_data_;
+  // The product under construction, CSR-style: member rows and class end
+  // offsets (out_offsets_[0] = 0). Copied out exactly sized at the end.
+  std::vector<int32_t> out_rows_;
+  std::vector<int32_t> out_offsets_;
 
   obs::MetricsRegistry* metrics_ = nullptr;
   int metrics_shard_ = 0;

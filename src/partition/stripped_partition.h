@@ -87,7 +87,9 @@ class StrippedPartition {
   /// of `other` (π refines π'). O(member rows of both). Used by Lemma 1.
   bool Refines(const StrippedPartition& other) const;
 
-  /// Approximate heap footprint in bytes.
+  /// Heap footprint in bytes: the capacity of both arrays. Products and
+  /// base partitions are exactly sized, so for them this is the true
+  /// 4·(m + c + 1) bytes of the CSR layout.
   int64_t EstimatedBytes() const {
     return static_cast<int64_t>((row_ids_.capacity() +
                                  class_offsets_.capacity()) *
@@ -106,8 +108,9 @@ class StrippedPartition {
 
   /// Adopts already-built CSR arrays without validation; `class_offsets`
   /// must satisfy the Create invariants. Used by PartitionProduct so its
-  /// output arrays become the partition's storage with no copy and — unlike
-  /// the public constructors — no allocation for the initial {0} offsets.
+  /// exactly sized output arrays become the partition's storage with no
+  /// further copy and — unlike the public constructors — no allocation for
+  /// the initial {0} offsets.
   StrippedPartition(int64_t num_rows, bool stripped,
                     std::vector<int32_t> row_ids,
                     std::vector<int32_t> class_offsets)

@@ -131,7 +131,9 @@ TEST(GenerateNextLevelTest, DeterministicOrder) {
 TEST(GenerateNextLevelTest, MatchesBruteForceOnRandomLevels) {
   // The candidate set is exactly the (ℓ+1)-sets all of whose ℓ-subsets are
   // in the level; each candidate is the union of two distinct ℓ-sets of the
-  // level, and the list is in strict (parent_a, parent_b) order.
+  // level, and the list is in strict (parent_a, parent_b) order. The
+  // recorded subset positions of candidate X are, with stride ℓ+1, the
+  // level positions of X∖{A} for its members A in ascending order.
   Rng rng(7);
   for (int trial = 0; trial < 200; ++trial) {
     const int attributes = 2 + static_cast<int>(rng.NextBounded(7));
@@ -164,7 +166,28 @@ TEST(GenerateNextLevelTest, MatchesBruteForceOnRandomLevels) {
       if (all_present) expected.insert(mask);
     }
 
-    const std::vector<LevelCandidate> candidates = GenerateNextLevel(level);
+    std::vector<int> positions;
+    const std::vector<LevelCandidate> candidates =
+        GenerateNextLevel(level, &positions);
+    const LevelIndex index(level);
+    const size_t stride = static_cast<size_t>(size) + 1;
+    ASSERT_EQ(positions.size(), candidates.size() * stride) << trial;
+    for (size_t c = 0; c < candidates.size(); ++c) {
+      size_t k = 0;
+      for (int attribute : Members(candidates[c].set)) {
+        EXPECT_EQ(positions[c * stride + k++],
+                  index.Find(candidates[c].set.Without(attribute)))
+            << "trial " << trial << ", " << candidates[c].set.ToString();
+      }
+    }
+    // Recording positions changes nothing about the candidates.
+    const std::vector<LevelCandidate> unrecorded = GenerateNextLevel(level);
+    ASSERT_EQ(unrecorded.size(), candidates.size());
+    for (size_t c = 0; c < candidates.size(); ++c) {
+      EXPECT_EQ(unrecorded[c].set, candidates[c].set);
+      EXPECT_EQ(unrecorded[c].parent_a, candidates[c].parent_a);
+      EXPECT_EQ(unrecorded[c].parent_b, candidates[c].parent_b);
+    }
     std::set<uint64_t> actual;
     for (const LevelCandidate& candidate : candidates) {
       EXPECT_TRUE(actual.insert(candidate.set.mask()).second)

@@ -14,6 +14,7 @@
 #include "core/tane.h"
 #include "datasets/paper_datasets.h"
 #include "gtest/gtest.h"
+#include "obs/metrics.h"
 #include "partition/error.h"
 #include "partition/product.h"
 #include "util/random.h"
@@ -120,6 +121,14 @@ std::vector<std::vector<int32_t>> FuzzColumns(Rng& rng, int64_t rows) {
   return columns;
 }
 
+// The exact-size contract: a product's arrays are exactly as large as its
+// CSR content, so EstimatedBytes() is the true 4·(m + c + 1).
+void ExpectExactlySized(const StrippedPartition& product) {
+  EXPECT_EQ(product.EstimatedBytes(),
+            static_cast<int64_t>(sizeof(int32_t)) *
+                (product.num_member_rows() + product.num_classes() + 1));
+}
+
 // Multiplies every ordered pair of `partitions` (and every product once
 // more by each operand, so many-class left operands take the touched-list
 // emission path) on two PartitionProducts: one sized for the rows and one
@@ -141,6 +150,7 @@ void CheckProducts(const std::vector<StrippedPartition>& partitions) {
       EXPECT_EQ(out.Canonicalized(),
                 NaiveProduct(partitions[a], partitions[b]))
           << a << " x " << b;
+      ExpectExactlySized(out);
       EXPECT_EQ(undersized.Multiply(partitions[a], partitions[b], token)
                     .value(),
                 out)
@@ -152,6 +162,7 @@ void CheckProducts(const std::vector<StrippedPartition>& partitions) {
     for (const StrippedPartition& right : partitions) {
       StrippedPartition out = sized.Multiply(left, right).value();
       EXPECT_EQ(out.Canonicalized(), NaiveProduct(left, right));
+      ExpectExactlySized(out);
       EXPECT_EQ(undersized.Multiply(left, right).value(), out);
     }
   }
@@ -241,6 +252,7 @@ TEST_P(ProductDifferentialTest, GatheredProbePathMatchesDirectPath) {
         EXPECT_EQ(out.Canonicalized(),
                   NaiveProduct(partitions[a], partitions[b]))
             << a << " x " << b;
+        ExpectExactlySized(out);
       }
     }
   }
@@ -265,15 +277,15 @@ TEST(ProductDifferentialTest, ProductAllocationsDoNotDriftWithThreadCount) {
       ASSERT_TRUE(result.ok()) << result.status().ToString();
       const DiscoveryStats& stats = result->stats;
       ASSERT_GT(stats.partition_products, 0) << threads;
-      if (epsilon == 0.0) {
-        // Key pruning deletes every node without member rows, so every
-        // product allocates exactly its rows and offsets arrays.
-        EXPECT_EQ(stats.product_allocations, 2 * stats.partition_products)
-            << threads << " threads";
-      } else {
-        EXPECT_LE(stats.product_allocations, 2 * stats.partition_products)
-            << threads << " threads";
-      }
+      // Every product allocates its exactly sized rows and offsets arrays,
+      // except that a product with no member rows allocates only its
+      // offsets. The member-row histogram's zero bucket counts those.
+      const obs::HistogramSnapshot& member_rows =
+          result->metrics.histogram(obs::kProductMemberRows);
+      ASSERT_EQ(member_rows.count, stats.partition_products) << threads;
+      EXPECT_EQ(stats.product_allocations,
+                2 * stats.partition_products - member_rows.buckets[0])
+          << epsilon << ", " << threads << " threads";
       if (serial_allocations < 0) {
         serial_allocations = stats.product_allocations;
       } else {

@@ -102,13 +102,18 @@ else
 fi
 echo "obs smoke OK: ${obs_dir}"
 
-# Profile gate: the same discovery twice without and twice with
-# --profile-out; check_obs.py validates the folded-stack artifact, requires
-# its main track to sum to the run's discover time within 1%, and holds
-# min-profiled/min-baseline to the 1.05x budget.
+# Profile gate: the same discovery five times without and five times with
+# --profile-out, alternating so host load hits both sides alike;
+# check_obs.py validates the folded-stack artifact, requires its main
+# track to sum to the run's discover time within 1%, and holds
+# median-profiled/median-baseline to the 1.05x budget.
 echo "==> profile gate: release discover with --profile-out"
 base_flags=(--threads=2 --epsilon=0.05 --max-lhs=4 --stats)
-for i in 1 2; do
+base_stats=()
+prof_stats=()
+for i in 1 2 3 4 5; do
+  base_stats+=("${obs_dir}/base${i}.txt")
+  prof_stats+=("${obs_dir}/prof${i}.txt")
   build-release/tools/tane discover "${obs_dir}/hepatitis.csv" \
     "${base_flags[@]}" > "${obs_dir}/base${i}.txt"
   build-release/tools/tane discover "${obs_dir}/hepatitis.csv" \
@@ -117,8 +122,7 @@ for i in 1 2; do
 done
 if command -v python3 >/dev/null 2>&1; then
   python3 tools/check_obs.py profile "${obs_dir}/profile1.folded" \
-    --base "${obs_dir}/base1.txt" "${obs_dir}/base2.txt" \
-    --prof "${obs_dir}/prof1.txt" "${obs_dir}/prof2.txt"
+    --base "${base_stats[@]}" --prof "${prof_stats[@]}"
 else
   [ -s "${obs_dir}/profile1.folded" ]
 fi
