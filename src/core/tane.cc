@@ -8,6 +8,7 @@
 #include <list>
 #include <memory>
 #include <optional>
+#include <span>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -161,14 +162,15 @@ struct NodeOutcome {
 };
 
 // One candidate's slot in a fused level window. The owning worker fills the
-// payload, then publishes it with a release store on `done`; the commit
-// frontier reads it back after an acquire load. No other synchronization
+// payload, then publishes it with a seq_cst store on `done`; the commit
+// frontier reads it back with a seq_cst load. No other synchronization
 // touches a slot, so the fields carry no lock annotations.
 struct WindowSlot {
   std::optional<StatusOr<StrippedPartition>> partition;
   NodeOutcome outcome;
-  // Per-slot completion latch, release-published / acquire-consumed by the
-  // window executor; no multi-word protocol. tane-lint: allow(naked-atomic)
+  // Per-slot completion latch. seq_cst on both sides, because the lost-commit
+  // argument in RunLevelWindow pairs it with the frontier word like Dekker's
+  // flags; no multi-word protocol. tane-lint: allow(naked-atomic)
   std::atomic<int> done{0};
 };
 
@@ -198,6 +200,10 @@ struct WindowInputs {
   // equivalent proxy): the serial-fallback estimate of the window's total
   // row work.
   int64_t est_row_work = 0;
+  // First candidate of each prefix block (candidates sharing parent_a), in
+  // ascending order; the pool hands out whole blocks so one worker labels
+  // the shared left parent once. nullptr: every candidate is its own run.
+  const std::vector<int64_t>* run_starts = nullptr;
 };
 
 // Shared mutable state of one fused level window. Workers coordinate
@@ -213,14 +219,23 @@ struct WindowContext {
   int64_t gate = 0;
   std::unique_ptr<WindowSlot[]> slots;
   const WindowInputs* in = nullptr;
-  // Independent claim counter and sticky error flag; their explicit orders
-  // are the contract. tane-lint: allow(naked-atomic)
+  // The commit frontier and sticky error flag; their explicit orders are
+  // the contract. tane-lint: allow(naked-atomic)
   std::atomic<int64_t> frontier{0};
   // tane-lint: allow(naked-atomic)
   std::atomic<bool> failed{false};
+  // What gated workers block on: bumped (release) after every frontier
+  // advance, failure or stop, so a waiter that loaded it (acquire) before
+  // checking its gate sees every later change. tane-lint: allow(naked-atomic)
+  std::atomic<int64_t> wake{0};
   Mutex mu;
   Status status TANE_GUARDED_BY(mu) = Status::OK();
   std::vector<Node> nodes TANE_GUARDED_BY(mu);
+
+  void Wake() {
+    wake.fetch_add(1, std::memory_order_release);
+    wake.notify_all();
+  }
 };
 
 class TaneRun {
@@ -323,7 +338,7 @@ class TaneRun {
   // task (partition build + error + validity tests),
   // runnable as soon as its parents exist — the parents are the previous
   // level, fully live for the whole window, so all tasks are immediately
-  // runnable and the pool's work-stealing deques schedule them with no
+  // runnable and the pool hands out whole prefix blocks with no
   // intra-level barrier. Results are committed through the index-ordered
   // frontier in WindowContext. On success *next holds the level's nodes and
   // pending_outcomes_ their validity outcomes; on stop/failure both hold
@@ -332,9 +347,10 @@ class TaneRun {
   Status RunLevelWindow(const WindowInputs& in, const BuildFn& build,
                         std::vector<Node>* next, LevelParallelStats* lp);
 
-  // Commits every consecutive ready slot at the frontier. blocking=false is
-  // the worker-side helper (TryLock: somebody else committing is progress
-  // already); blocking=true is the coordinator drain and the serial path.
+  // Commits every consecutive ready slot at the frontier and wakes the
+  // gated workers if it moved. blocking=false is the worker-side helper
+  // (TryLock: somebody else committing is progress already); blocking=true
+  // is the frontier task's own commit and the serial path.
   void CommitReadySlots(WindowContext* ctx, bool blocking)
       TANE_EXCLUDES(ctx->mu);
 
@@ -958,7 +974,7 @@ bool TaneRun::UseParallelWindow(int64_t count, int64_t est_row_work) const {
   if (configured == 0) return true;
   if (configured > 0) return est_row_work >= configured;
   // Auto: a lone hardware thread can never overlap the window's work (the
-  // deques would only add scheduling overhead on top of a serial
+  // pool would only add scheduling overhead on top of a serial
   // execution), and a level whose total row work is tiny loses more to
   // fan-out/join than it can win back. hardware_concurrency() == 0 means
   // "unknown" and gets the benefit of the doubt.
@@ -1028,13 +1044,14 @@ void TaneRun::CommitReadySlots(WindowContext* ctx, bool blocking) {
   if (blocking) {
     ctx->mu.Lock();
   } else if (!ctx->mu.TryLock()) {
-    // Somebody else is committing — that is already progress; the caller
-    // rechecks the frontier on its next spin.
+    // Somebody else is committing — that is already progress. A slot it
+    // misses is the frontier's, whose own worker commits it blocking.
     return;
   }
-  int64_t i = ctx->frontier.load(std::memory_order_relaxed);
+  const int64_t start = ctx->frontier.load(std::memory_order_relaxed);
+  int64_t i = start;
   while (i < ctx->count && !ctx->failed.load(std::memory_order_relaxed) &&
-         ctx->slots[i].done.load(std::memory_order_acquire) != 0) {
+         ctx->slots[i].done.load(std::memory_order_seq_cst) != 0) {
     Status status = CommitOneSlot(ctx, i);
     if (!status.ok()) {
       ctx->status = std::move(status);
@@ -1045,6 +1062,7 @@ void TaneRun::CommitReadySlots(WindowContext* ctx, bool blocking) {
     ctx->frontier.store(i, std::memory_order_seq_cst);
   }
   ctx->mu.Unlock();
+  if (i != start || ctx->failed.load(std::memory_order_relaxed)) ctx->Wake();
 }
 
 Status TaneRun::RunLevelWindow(const WindowInputs& in, const BuildFn& build,
@@ -1090,49 +1108,61 @@ Status TaneRun::RunLevelWindow(const WindowInputs& in, const BuildFn& build,
 
   store_->BeginTaskWindow();
   if (UseParallelWindow(count, in.est_row_work)) {
+    // A worker leaving on a stop or failure wakes the gated ones: the
+    // frontier may never move again, and their wait returns only when the
+    // wake word changes.
+    auto leaving = [&](WorkerState* w) {
+      if (!ctx.failed.load(std::memory_order_relaxed) &&
+          !WorkerShouldStop(w)) {
+        return false;
+      }
+      ctx.Wake();
+      return true;
+    };
+    const std::span<const int64_t> runs =
+        in.run_starts == nullptr ? std::span<const int64_t>()
+                                 : std::span<const int64_t>(*in.run_starts);
     const ParallelForStats region = pool_.ParallelFor(
-        count, [&](int worker, int64_t i) {
+        count, runs, [&](int worker, int64_t i) {
           WorkerState* w = workers_[worker].get();
-          if (ctx.failed.load(std::memory_order_relaxed) ||
-              WorkerShouldStop(w)) {
-            return;
-          }
-          // The commit-distance gate. A gated worker helps drain the
-          // frontier instead of blocking: the worker holding the minimum
-          // uncommitted task is never gated (its gate condition needs the
-          // frontier to pass that very task), and owners pop their deques
-          // in ascending index order, so the minimum unfinished task is
-          // always either running or next in line — the window cannot
-          // deadlock and the frontier always advances.
-          bool stall_recorded = false;
-          while (i >= ctx.frontier.load(std::memory_order_seq_cst) +
+          if (leaving(w)) return;
+          // The commit-distance gate: a task `gate` or more past the
+          // frontier blocks until the frontier catches up. This cannot
+          // deadlock. Let m be the minimum uncommitted task; the frontier
+          // is at m, so m itself is never gated. Claims ascend, so while
+          // m's run is unclaimed every claimed run lies below m: its tasks
+          // are committed, its holder is not gated, and the next claim
+          // takes m's run. Its tasks before m are committed and a run
+          // executes in ascending order, so its worker reaches m and runs
+          // it, and the frontier always advances.
+          if (i >= ctx.frontier.load(std::memory_order_seq_cst) + ctx.gate) {
+            RecordFlight(worker, obs::FlightEventType::kStall, "gate", i,
+                         ctx.frontier.load(std::memory_order_relaxed));
+            while (true) {
+              const int64_t seen = ctx.wake.load(std::memory_order_acquire);
+              if (i < ctx.frontier.load(std::memory_order_seq_cst) +
                           ctx.gate) {
-            if (!stall_recorded) {
-              // One event per gate entry, not per spin: the ring holds the
-              // *pattern* of stalls, and a spinning worker would otherwise
-              // flood its ring in microseconds.
-              stall_recorded = true;
-              RecordFlight(worker, obs::FlightEventType::kStall, "gate", i,
-                           ctx.frontier.load(std::memory_order_relaxed));
+                break;
+              }
+              if (leaving(w)) return;
+              ctx.wake.wait(seen, std::memory_order_acquire);
             }
-            if (ctx.failed.load(std::memory_order_relaxed) ||
-                WorkerShouldStop(w)) {
-              return;
-            }
-            CommitReadySlots(&ctx, /*blocking=*/false);
-            std::this_thread::yield();
           }
           run_task(w, i);
-          ctx.slots[i].done.store(1, std::memory_order_release);
-          CommitReadySlots(&ctx, /*blocking=*/false);
+          // No commit gets lost to a failed TryLock: `done` and the
+          // frontier are both seq_cst, so either this worker sees the
+          // frontier at i and commits with a blocking Lock, or the
+          // committer that moves the frontier to i then sees `done`.
+          ctx.slots[i].done.store(1, std::memory_order_seq_cst);
+          CommitReadySlots(
+              &ctx, /*blocking=*/ctx.frontier.load(
+                        std::memory_order_seq_cst) == i);
         });
     lp->wall_seconds += region.wall_seconds;
     lp->worker_seconds += region.busy_seconds;
-    // Workers have quiesced; drain whatever the last TryLock race left.
-    CommitReadySlots(&ctx, /*blocking=*/true);
   } else {
     // Serial fallback: same task and commit code on the caller thread, no
-    // deques, no gate — the frontier trivially follows the loop index.
+    // pool, no gate — the frontier trivially follows the loop index.
     WallTimer serial_timer;
     WorkerState* w = workers_[0].get();
     for (int64_t i = 0;
@@ -1365,7 +1395,11 @@ StatusOr<bool> TaneRun::AdvanceLevel(int level_number,
   std::vector<AttributeSet> sets(candidates.size());
   std::vector<AttributeSet> cplus(candidates.size());
   int64_t est_row_work = 0;
+  std::vector<int64_t> run_starts;
   for (size_t i = 0; i < candidates.size(); ++i) {
+    if (i == 0 || candidates[i].parent_a != candidates[i - 1].parent_a) {
+      run_starts.push_back(static_cast<int64_t>(i));
+    }
     sets[i] = candidates[i].set;
     cplus[i] = SeedCplus(next_level, sets[i], survivors,
                          subset_positions.data() + i * next_level);
@@ -1410,6 +1444,7 @@ StatusOr<bool> TaneRun::AdvanceLevel(int level_number,
   in.subset_positions = &subset_positions;
   if (!last_consumer.empty()) in.last_consumer = &last_consumer;
   in.est_row_work = est_row_work;
+  in.run_starts = &run_starts;
   std::vector<Node> next;
   Status window_status;
   {

@@ -64,6 +64,15 @@ void ExpectIdenticalResults(const DiscoveryResult& expected,
   // count cannot drift with the thread count.
   EXPECT_EQ(expected.stats.product_allocations,
             actual.stats.product_allocations);
+  // Each prefix block runs on one worker in candidate order, so every block
+  // labels its left parent once and the rest of it reuses the labels,
+  // exactly as the serial loop does.
+  EXPECT_EQ(expected.stats.product_label_reuses,
+            actual.stats.product_label_reuses)
+      << num_threads;
+  EXPECT_EQ(expected.stats.product_rows_scanned,
+            actual.stats.product_rows_scanned)
+      << num_threads;
 }
 
 struct DatasetCase {

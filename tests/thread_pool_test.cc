@@ -1,9 +1,10 @@
 #include "util/thread_pool.h"
 
-#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
-#include <thread>
+#include <mutex>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -11,119 +12,11 @@
 namespace tane {
 namespace {
 
-TEST(WorkStealingDequeTest, OwnerPopsInLifoOrder) {
-  WorkStealingDeque deque;
-  for (int64_t i = 1; i <= 3; ++i) deque.Push(i);
-  int64_t item = 0;
-  ASSERT_TRUE(deque.Pop(&item));
-  EXPECT_EQ(item, 3);
-  ASSERT_TRUE(deque.Pop(&item));
-  EXPECT_EQ(item, 2);
-  ASSERT_TRUE(deque.Pop(&item));
-  EXPECT_EQ(item, 1);
-  EXPECT_FALSE(deque.Pop(&item));
-}
-
-TEST(WorkStealingDequeTest, ThievesStealInFifoOrder) {
-  WorkStealingDeque deque;
-  for (int64_t i = 1; i <= 3; ++i) deque.Push(i);
-  int64_t item = 0;
-  ASSERT_TRUE(deque.Steal(&item));
-  EXPECT_EQ(item, 1);
-  ASSERT_TRUE(deque.Steal(&item));
-  EXPECT_EQ(item, 2);
-  ASSERT_TRUE(deque.Steal(&item));
-  EXPECT_EQ(item, 3);
-  EXPECT_FALSE(deque.Steal(&item));
-}
-
-TEST(WorkStealingDequeTest, GrowsPastCapacityHint) {
-  WorkStealingDeque deque(/*capacity_hint=*/2);
-  constexpr int64_t kCount = 1000;
-  for (int64_t i = 0; i < kCount; ++i) deque.Push(i);
-  EXPECT_EQ(deque.size(), kCount);
-  // LIFO pops return the full range despite multiple ring growths.
-  for (int64_t expected = kCount - 1; expected >= 0; --expected) {
-    int64_t item = -1;
-    ASSERT_TRUE(deque.Pop(&item));
-    EXPECT_EQ(item, expected);
-  }
-}
-
-TEST(WorkStealingDequeTest, ResetEmptiesAndStaysUsable) {
-  WorkStealingDeque deque(/*capacity_hint=*/4);
-  for (int64_t i = 0; i < 100; ++i) deque.Push(i);
-  deque.Reset(/*capacity_hint=*/8);
-  int64_t item = 0;
-  EXPECT_FALSE(deque.Pop(&item));
-  EXPECT_EQ(deque.size(), 0);
-  deque.Push(42);
-  ASSERT_TRUE(deque.Pop(&item));
-  EXPECT_EQ(item, 42);
-}
-
-// The steal-vs-pop race: an owner pushing and popping at the bottom while
-// several thieves hammer the top. Every item must be claimed exactly once,
-// across growth, the single-item Pop/Steal race, and lost-CAS retries. Run
-// under the tsan preset this doubles as the memory-model check for the
-// seq_cst Chase-Lev variant.
-TEST(WorkStealingDequeTest, StealVsPopStressClaimsEveryItemExactlyOnce) {
-  constexpr int64_t kItems = 20000;
-  constexpr int kThieves = 3;
-  WorkStealingDeque deque(/*capacity_hint=*/2);  // force growth mid-race
-  std::vector<std::atomic<int>> claims(kItems);
-  std::atomic<bool> owner_done{false};
-
-  std::vector<std::thread> thieves;
-  thieves.reserve(kThieves);
-  for (int t = 0; t < kThieves; ++t) {
-    thieves.emplace_back([&] {
-      int64_t item = -1;
-      // Keep sweeping until the owner is done AND the deque reads empty:
-      // Steal returning false can be a lost race, not exhaustion.
-      while (!owner_done.load(std::memory_order_acquire) ||
-             deque.size() > 0) {
-        if (deque.Steal(&item)) {
-          claims[item].fetch_add(1, std::memory_order_relaxed);
-        } else {
-          std::this_thread::yield();
-        }
-      }
-      while (deque.Steal(&item)) {
-        claims[item].fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-
-  // The owner alternates burst-pushes with pops, like a worker executing
-  // its own tasks while peers steal the oldest ones.
-  int64_t next = 0;
-  int64_t item = -1;
-  while (next < kItems) {
-    const int64_t burst = std::min<int64_t>(64, kItems - next);
-    for (int64_t i = 0; i < burst; ++i) deque.Push(next++);
-    for (int64_t i = 0; i < burst / 2; ++i) {
-      if (deque.Pop(&item)) {
-        claims[item].fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  }
-  while (deque.Pop(&item)) {
-    claims[item].fetch_add(1, std::memory_order_relaxed);
-  }
-  owner_done.store(true, std::memory_order_release);
-  for (std::thread& thief : thieves) thief.join();
-
-  for (int64_t i = 0; i < kItems; ++i) {
-    EXPECT_EQ(claims[i].load(), 1) << "item " << i;
-  }
-}
-
 TEST(ThreadPoolTest, VisitsEveryIndexExactlyOnce) {
   ThreadPool pool(4);
   constexpr int64_t kCount = 1000;
   std::vector<std::atomic<int>> visits(kCount);
-  pool.ParallelFor(kCount, [&](int, int64_t index) {
+  pool.ParallelFor(kCount, {}, [&](int, int64_t index) {
     visits[index].fetch_add(1, std::memory_order_relaxed);
   });
   for (int64_t i = 0; i < kCount; ++i) {
@@ -134,7 +27,7 @@ TEST(ThreadPoolTest, VisitsEveryIndexExactlyOnce) {
 TEST(ThreadPoolTest, WorkerIdsStayInRange) {
   ThreadPool pool(3);
   std::atomic<bool> out_of_range{false};
-  pool.ParallelFor(500, [&](int worker, int64_t) {
+  pool.ParallelFor(500, {}, [&](int worker, int64_t) {
     if (worker < 0 || worker >= 3) out_of_range.store(true);
   });
   EXPECT_FALSE(out_of_range.load());
@@ -145,7 +38,7 @@ TEST(ThreadPoolTest, SingleThreadRunsEverythingOnCaller) {
   EXPECT_EQ(pool.num_threads(), 1);
   bool wrong_worker = false;
   int64_t sum = 0;
-  pool.ParallelFor(100, [&](int worker, int64_t index) {
+  pool.ParallelFor(100, {}, [&](int worker, int64_t index) {
     // Safe without synchronization: the serial fast path runs inline.
     if (worker != 0) wrong_worker = true;
     sum += index;
@@ -158,7 +51,7 @@ TEST(ThreadPoolTest, ReusableAcrossCalls) {
   ThreadPool pool(4);
   for (int round = 0; round < 10; ++round) {
     std::atomic<int64_t> sum{0};
-    pool.ParallelFor(64, [&](int, int64_t index) {
+    pool.ParallelFor(64, {}, [&](int, int64_t index) {
       sum.fetch_add(index, std::memory_order_relaxed);
     });
     EXPECT_EQ(sum.load(), 63 * 64 / 2) << "round " << round;
@@ -169,9 +62,9 @@ TEST(ThreadPoolTest, ZeroAndNegativeCountsAreNoops) {
   ThreadPool pool(2);
   int calls = 0;
   const ParallelForStats zero =
-      pool.ParallelFor(0, [&](int, int64_t) { ++calls; });
+      pool.ParallelFor(0, {}, [&](int, int64_t) { ++calls; });
   const ParallelForStats negative =
-      pool.ParallelFor(-5, [&](int, int64_t) { ++calls; });
+      pool.ParallelFor(-5, {}, [&](int, int64_t) { ++calls; });
   EXPECT_EQ(calls, 0);
   EXPECT_EQ(zero.wall_seconds, 0.0);
   EXPECT_EQ(negative.busy_seconds, 0.0);
@@ -180,9 +73,10 @@ TEST(ThreadPoolTest, ZeroAndNegativeCountsAreNoops) {
 TEST(ThreadPoolTest, StatsAreNonNegativeAndBusyCoversWork) {
   ThreadPool pool(2);
   std::atomic<int64_t> sink{0};
-  const ParallelForStats stats = pool.ParallelFor(2000, [&](int, int64_t i) {
-    sink.fetch_add(i % 7, std::memory_order_relaxed);
-  });
+  const ParallelForStats stats =
+      pool.ParallelFor(2000, {}, [&](int, int64_t i) {
+        sink.fetch_add(i % 7, std::memory_order_relaxed);
+      });
   EXPECT_GE(stats.wall_seconds, 0.0);
   EXPECT_GE(stats.busy_seconds, 0.0);
 }
@@ -190,10 +84,91 @@ TEST(ThreadPoolTest, StatsAreNonNegativeAndBusyCoversWork) {
 TEST(ThreadPoolTest, MoreThreadsThanWork) {
   ThreadPool pool(8);
   std::atomic<int> calls{0};
-  pool.ParallelFor(3, [&](int, int64_t) {
+  pool.ParallelFor(3, {}, [&](int, int64_t) {
     calls.fetch_add(1, std::memory_order_relaxed);
   });
   EXPECT_EQ(calls.load(), 3);
+  // Two runs covering ten indices: six workers find nothing to claim.
+  const std::vector<int64_t> runs = {0, 4};
+  pool.ParallelFor(10, runs, [&](int, int64_t) {
+    calls.fetch_add(1, std::memory_order_relaxed);
+  });
+  EXPECT_EQ(calls.load(), 13);
+}
+
+// Uneven runs (lengths 1..7, cycling) over a pool of 4. Each run's indices
+// must land on one worker, in ascending order, one after another.
+TEST(ThreadPoolTest, EachRunGoesToOneWorkerInAscendingOrder) {
+  std::vector<int64_t> runs;
+  int64_t count = 0;
+  for (int r = 0; r < 200; ++r) {
+    runs.push_back(count);
+    count += 1 + r % 7;
+  }
+  ThreadPool pool(4);
+  std::vector<int> owner(count, -1);
+  std::vector<int64_t> order(count, -1);
+  std::vector<int64_t> step(4, 0);  // per-worker sequence number
+  pool.ParallelFor(count, runs, [&](int worker, int64_t index) {
+    owner[index] = worker;  // each index is written by one worker only
+    order[index] = step[worker]++;
+  });
+  for (size_t r = 0; r < runs.size(); ++r) {
+    const int64_t end = r + 1 < runs.size() ? runs[r + 1] : count;
+    for (int64_t i = runs[r] + 1; i < end; ++i) {
+      EXPECT_EQ(owner[i], owner[runs[r]]) << "run " << r << " index " << i;
+      EXPECT_EQ(order[i], order[i - 1] + 1) << "run " << r << " index " << i;
+    }
+  }
+}
+
+// A pool of 2 where whichever worker claims run 0 holds it until run 5 has
+// started: meanwhile the other worker must claim runs 1..5, in that order.
+// Dealing runs to workers up front would hand one worker 0, 2, 4 and fail.
+TEST(ThreadPoolTest, RunsAreClaimedInAscendingOrder) {
+  constexpr int64_t kRuns = 8;
+  std::vector<int64_t> runs;
+  for (int64_t r = 0; r < kRuns; ++r) runs.push_back(2 * r);
+  ThreadPool pool(2);
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<int64_t> started;  // runs other than 0, in start order
+  bool released = false;
+  pool.ParallelFor(2 * kRuns, runs, [&](int, int64_t index) {
+    if (index % 2 != 0) return;
+    std::unique_lock<std::mutex> lock(mu);
+    if (index == 0) {
+      released = cv.wait_for(lock, std::chrono::seconds(10),
+                             [&] { return started.size() >= 5; });
+      return;
+    }
+    started.push_back(index / 2);
+    cv.notify_all();
+  });
+  EXPECT_TRUE(released);
+  ASSERT_GE(started.size(), 5u);
+  EXPECT_EQ(std::vector<int64_t>(started.begin(), started.begin() + 5),
+            (std::vector<int64_t>{1, 2, 3, 4, 5}));
+}
+
+TEST(ThreadPoolTest, UnevenCostsVisitEveryIndexOnce) {
+  constexpr int64_t kCount = 400;
+  std::vector<int64_t> runs;
+  for (int64_t i = 0; i < kCount; i += 1 + i % 5) runs.push_back(i);
+  ThreadPool pool(4);
+  std::vector<std::atomic<int>> visits(kCount);
+  std::atomic<int64_t> sink{0};
+  pool.ParallelFor(kCount, runs, [&](int, int64_t index) {
+    // Every 16th index costs ~1000x the rest.
+    const int64_t spins = index % 16 == 0 ? 200000 : 200;
+    int64_t acc = 0;
+    for (int64_t k = 0; k < spins; ++k) acc += k ^ index;
+    sink.fetch_add(acc, std::memory_order_relaxed);
+    visits[index].fetch_add(1, std::memory_order_relaxed);
+  });
+  for (int64_t i = 0; i < kCount; ++i) {
+    EXPECT_EQ(visits[i].load(), 1) << "index " << i;
+  }
 }
 
 }  // namespace
