@@ -40,10 +40,15 @@ struct DiscoveryStats {
   int64_t max_level_size = 0;
   /// Validity tests performed (the paper's v).
   int64_t validity_tests = 0;
-  /// Exact g3 scans executed in approximate mode.
+  /// Exact error scans executed in approximate mode.
   int64_t g3_scans = 0;
-  /// g3 scans skipped because the e(·) bounds already decided validity.
+  /// Approximate-mode tests decided without a scan: by the e(·) bounds, or
+  /// by the violation counts the partition product computed for the two
+  /// tests against its operands. g3_scans + g3_scans_skipped is the number
+  /// of approximate-mode validity tests.
   int64_t g3_scans_skipped = 0;
+  /// Of g3_scans_skipped, the tests the product's counts answered.
+  int64_t g3_from_product = 0;
   /// Partition products computed.
   int64_t partition_products = 0;
   /// Heap allocations performed inside PartitionProduct::Multiply across

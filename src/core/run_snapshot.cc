@@ -183,6 +183,7 @@ std::string RunSnapshot::Serialize() const {
   AppendPod(&counters_payload, counters.validity_tests);
   AppendPod(&counters_payload, counters.g3_scans);
   AppendPod(&counters_payload, counters.g3_scans_skipped);
+  AppendPod(&counters_payload, counters.g3_from_product);
   AppendPod(&counters_payload, counters.partition_products);
   AppendPod(&counters_payload, counters.keys_found);
   AppendPod(&counters_payload, counters.nodes_processed);
@@ -282,6 +283,7 @@ StatusOr<RunSnapshot> RunSnapshot::Deserialize(std::string_view bytes) {
       !ReadPod(&payload, &counters.validity_tests) ||
       !ReadPod(&payload, &counters.g3_scans) ||
       !ReadPod(&payload, &counters.g3_scans_skipped) ||
+      !ReadPod(&payload, &counters.g3_from_product) ||
       !ReadPod(&payload, &counters.partition_products) ||
       !ReadPod(&payload, &counters.keys_found) ||
       !ReadPod(&payload, &counters.nodes_processed) ||

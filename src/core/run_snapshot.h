@@ -50,6 +50,7 @@ struct SnapshotCounters {
   int64_t validity_tests = 0;
   int64_t g3_scans = 0;
   int64_t g3_scans_skipped = 0;
+  int64_t g3_from_product = 0;
   int64_t partition_products = 0;
   int64_t keys_found = 0;
   int64_t nodes_processed = 0;
@@ -60,8 +61,9 @@ struct SnapshotCounters {
 struct RunSnapshot {
   /// Bumped on any incompatible layout change, and whenever the node or
   /// emission order a snapshot records changes (version 2: candidates are
-  /// ordered by parent pair, not by mask); a mismatch rejects the file.
-  static constexpr uint32_t kFormatVersion = 2;
+  /// ordered by parent pair, not by mask; version 3: the g3_from_product
+  /// counter); a mismatch rejects the file.
+  static constexpr uint32_t kFormatVersion = 3;
 
   /// Fingerprint of the output-affecting configuration (ConfigFingerprint).
   uint32_t config_fingerprint = 0;

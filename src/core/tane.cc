@@ -1,6 +1,7 @@
 #include "core/tane.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <functional>
@@ -161,12 +162,22 @@ struct NodeOutcome {
   bool processed = false;
 };
 
+// What a level task builds: the candidate's partition π_X and, when its
+// product computed them, the g3/g2 counts of the two validity tests
+// X∖{A} → A whose left-hand side is a product parent: [0] for A the second
+// largest member of X (lhs parent_b), [1] for the largest (lhs parent_a),
+// i.e. indexed by A's rank in X minus |X| − 2.
+struct BuiltPartition {
+  StrippedPartition partition;
+  std::optional<std::array<ViolationCounts, 2>> parent_tests;
+};
+
 // One candidate's slot in a fused level window. The owning worker fills the
 // payload, then publishes it with a seq_cst store on `done`; the commit
 // frontier reads it back with a seq_cst load. No other synchronization
 // touches a slot, so the fields carry no lock annotations.
 struct WindowSlot {
-  std::optional<StatusOr<StrippedPartition>> partition;
+  std::optional<StatusOr<BuiltPartition>> partition;
   NodeOutcome outcome;
   // Per-slot completion latch. seq_cst on both sides, because the lost-commit
   // argument in RunLevelWindow pairs it with the frontier word like Dekker's
@@ -293,8 +304,8 @@ class TaneRun {
   int64_t live_partitions() const { return store_->live_partitions(); }
 
  private:
-  using BuildFn = std::function<StatusOr<StrippedPartition>(WorkerState*,
-                                                            int64_t)>;
+  using BuildFn =
+      std::function<StatusOr<BuiltPartition>(WorkerState*, int64_t)>;
 
   // The in-order half of COMPUTE-DEPENDENCIES (paper §5): the level window
   // already ran every node's validity tests fused with its partition build;
@@ -311,9 +322,10 @@ class TaneRun {
   // against a snapshot here and merging later reproduces the serial result
   // exactly.
   // `subsets` holds the positions in `prev` of the node's subsets X∖{A},
-  // A ascending (unused at level 1).
+  // A ascending (unused at level 1). `built` is the node's partition with
+  // the product's answers to the tests against its parents, if any.
   Status ProcessNode(int level_number, const Node& node,
-                     const StrippedPartition* fine,
+                     const BuiltPartition& built,
                      const std::vector<Node>* prev, const int* subsets,
                      WorkerState* w, NodeOutcome* out);
 
@@ -321,18 +333,22 @@ class TaneRun {
   Status Prune(int level_number, std::vector<Node>* level,
                DiscoveryResult* result);
 
-  // GENERATE-NEXT-LEVEL partition computation for one candidate.
-  StatusOr<StrippedPartition> BuildCandidatePartition(
+  // GENERATE-NEXT-LEVEL partition computation for one candidate. The
+  // product also answers the two parent tests when count_parent_tests().
+  StatusOr<BuiltPartition> BuildCandidatePartition(
       WorkerState* w, const LevelCandidate& candidate,
       const std::vector<Node>& survivors);
 
   // Tests X\{A} → A given e(X\{A}), the handle of π_X\{A}, e(X), and the
   // node's own partition π_X (`fine`, owned by the window slot — level
-  // partitions are tested before they are stored). Sets *valid and *error
-  // (the error value to report when valid).
+  // partitions are tested before they are stored). `answered`, when not
+  // null, holds the test's exact g3/g2 counts as the product computed
+  // them, which replace the scan. Sets *valid and *error (the error value
+  // to report when valid).
   Status TestValidity(WorkerState* w, int64_t prev_error, int64_t prev_handle,
-                      int64_t node_error, const StrippedPartition* fine,
-                      bool* valid, double* error, bool* exact_holds);
+                      int64_t node_error, const StrippedPartition& fine,
+                      const ViolationCounts* answered, bool* valid,
+                      double* error, bool* exact_holds);
 
   // The fused task window that builds one level: every candidate is one
   // task (partition build + error + validity tests),
@@ -409,6 +425,14 @@ class TaneRun {
                              std::vector<Node>* survivors);
 
   bool checkpointing() const { return !config_.checkpoint_directory.empty(); }
+
+  // True when products count the two parent tests for TestValidity: the
+  // approximate branch (ε > 0) with a measure the counts cover (g3, g2).
+  // Exact mode decides by Lemma 2 and g1 needs no scan, so both multiply
+  // without the bookkeeping.
+  bool count_parent_tests() const {
+    return config_.epsilon != 0.0 && config_.measure != ErrorMeasure::kG1;
+  }
 
   // True when validity is exact: the integer threshold of the configured
   // measure is 0, so only dependencies without violations are valid.
@@ -707,7 +731,8 @@ Status TaneRun::ReleaseHandles(std::vector<Node>* nodes) {
 
 Status TaneRun::TestValidity(WorkerState* w, int64_t prev_error,
                              int64_t prev_handle, int64_t node_error,
-                             const StrippedPartition* fine, bool* valid,
+                             const StrippedPartition& fine,
+                             const ViolationCounts* answered, bool* valid,
                              double* error, bool* exact_holds) {
   metrics_.Add(w->shard, obs::kValidityTests, 1);
   *exact_holds = (prev_error == node_error);
@@ -721,8 +746,14 @@ Status TaneRun::TestValidity(WorkerState* w, int64_t prev_error,
 
   // Approximate mode: decide error(X\{A} → A) ≤ ε with the violation count
   // compared against the precomputed integer threshold. For g3 the
-  // e(·)-based bounds run first (O(1)); the exact partition scan (O(|r|))
-  // only when necessary. g1/g2 have no such bounds and always scan.
+  // e(·)-based bounds run first (O(1)); then the product's own count when
+  // it computed one; the exact partition scan (O(|r|)) only when neither
+  // decides. g2 has no bounds, and g1 needs class sizes only.
+  const auto per_row = [this](int64_t count) {
+    return num_rows_ == 0
+               ? 0.0
+               : static_cast<double>(count) / static_cast<double>(num_rows_);
+  };
   if (config_.measure == ErrorMeasure::kG3) {
     const int64_t lower = std::max<int64_t>(0, prev_error - node_error);
     const int64_t upper = prev_error;
@@ -735,11 +766,22 @@ Status TaneRun::TestValidity(WorkerState* w, int64_t prev_error,
         upper <= max_removals_) {
       metrics_.Add(w->shard, obs::kG3ScansSkipped, 1);
       *valid = true;
-      *error = num_rows_ == 0 ? 0.0
-                              : static_cast<double>(upper) /
-                                    static_cast<double>(num_rows_);
+      *error = per_row(upper);
       return Status::OK();
     }
+  }
+
+  if (answered != nullptr) {
+    // The product already saw every π_X subclass of the coarse partition's
+    // classes, so its count is this test's exact count: no scan.
+    metrics_.Add(w->shard, obs::kG3ScansSkipped, 1);
+    metrics_.Add(w->shard, obs::kG3FromProduct, 1);
+    const int64_t count = config_.measure == ErrorMeasure::kG3
+                              ? answered->removals
+                              : answered->violating_rows;
+    *valid = count <= max_removals_;
+    *error = per_row(count);
+    return Status::OK();
   }
 
   const StrippedPartition* coarse = nullptr;
@@ -755,49 +797,35 @@ Status TaneRun::TestValidity(WorkerState* w, int64_t prev_error,
     // tane-lint: allow(tane-check)
     TANE_CHECK(coarse != nullptr) << "empty-set partition not prebuilt";
   }
-  // Invariant: scan-path callers pass the node's own partition.
-  // tane-lint: allow(tane-check)
-  TANE_CHECK(fine != nullptr) << "validity scan without the node partition";
   metrics_.Add(w->shard, obs::kG3Scans, 1);
+  if (config_.measure == ErrorMeasure::kG1) {
+    // Class sizes only: π_X refines π_{X∖A} (see ViolatingPairCount).
+    TANE_ASSIGN_OR_RETURN(const int64_t violating_pairs,
+                          w->g3.ViolatingPairCount(*coarse, fine));
+    *valid = violating_pairs <= max_pairs_;
+    *error = num_rows_ == 0 ? 0.0
+                            : static_cast<double>(violating_pairs) /
+                                  (static_cast<double>(num_rows_) *
+                                   static_cast<double>(num_rows_));
+    return Status::OK();
+  }
   // The scan walks both operands' member rows; the histogram captures the
   // per-scan cost distribution for the run report.
   metrics_.Record(w->shard, obs::kG3ScanMemberRows,
-                  coarse->num_member_rows() + fine->num_member_rows());
-  switch (config_.measure) {
-    case ErrorMeasure::kG3: {
-      TANE_ASSIGN_OR_RETURN(const int64_t removals,
-                            w->g3.RemovalCount(*coarse, *fine));
-      *valid = removals <= max_removals_;
-      *error = num_rows_ == 0 ? 0.0
-                              : static_cast<double>(removals) /
-                                    static_cast<double>(num_rows_);
-      break;
-    }
-    case ErrorMeasure::kG2: {
-      TANE_ASSIGN_OR_RETURN(const int64_t violating_rows,
-                            w->g3.ViolatingRowCount(*coarse, *fine));
-      *valid = violating_rows <= max_removals_;
-      *error = num_rows_ == 0 ? 0.0
-                              : static_cast<double>(violating_rows) /
-                                    static_cast<double>(num_rows_);
-      break;
-    }
-    case ErrorMeasure::kG1: {
-      TANE_ASSIGN_OR_RETURN(const int64_t violating_pairs,
-                            w->g3.ViolatingPairCount(*coarse, *fine));
-      *valid = violating_pairs <= max_pairs_;
-      *error = num_rows_ == 0 ? 0.0
-                              : static_cast<double>(violating_pairs) /
-                                    (static_cast<double>(num_rows_) *
-                                     static_cast<double>(num_rows_));
-      break;
-    }
+                  coarse->num_member_rows() + fine.num_member_rows());
+  int64_t count = 0;
+  if (config_.measure == ErrorMeasure::kG3) {
+    TANE_ASSIGN_OR_RETURN(count, w->g3.RemovalCount(*coarse, fine));
+  } else {
+    TANE_ASSIGN_OR_RETURN(count, w->g3.ViolatingRowCount(*coarse, fine));
   }
+  *valid = count <= max_removals_;
+  *error = per_row(count);
   return Status::OK();
 }
 
 Status TaneRun::ProcessNode(int level_number, const Node& node,
-                            const StrippedPartition* fine,
+                            const BuiltPartition& built,
                             const std::vector<Node>* prev, const int* subsets,
                             WorkerState* w, NodeOutcome* out) {
   // Lines 3-8 for one node: test X\{A} → A for A ∈ X ∩ C⁺(X). The
@@ -809,18 +837,26 @@ Status TaneRun::ProcessNode(int level_number, const Node& node,
   for (int attribute : Members(candidates)) {
     int64_t prev_error = empty_error_;
     int64_t prev_handle = -1;
+    const ViolationCounts* answered = nullptr;
     if (level_number > 1) {
       // X∖{A} is the subset for A's rank among X's members.
-      const Node& parent = (*prev)[subsets[node.set.Rank(attribute)]];
+      const int rank = node.set.Rank(attribute);
+      const Node& parent = (*prev)[subsets[rank]];
       prev_error = parent.error;
       prev_handle = parent.handle;
+      // The two largest members' tests have a product parent as their
+      // left-hand side.
+      if (built.parent_tests.has_value() && rank >= level_number - 2) {
+        answered = &(*built.parent_tests)[rank - (level_number - 2)];
+      }
     }
 
     bool valid = false;
     bool exact_holds = false;
     double error = 0.0;
     TANE_RETURN_IF_ERROR(TestValidity(w, prev_error, prev_handle, node.error,
-                                      fine, &valid, &error, &exact_holds));
+                                      built.partition, answered, &valid,
+                                      &error, &exact_holds));
     if (!valid) continue;
 
     // Line 6: the minimal dependency, buffered for the in-order merge.
@@ -933,7 +969,7 @@ Status TaneRun::Prune(int level_number, std::vector<Node>* level,
   return Status::OK();
 }
 
-StatusOr<StrippedPartition> TaneRun::BuildCandidatePartition(
+StatusOr<BuiltPartition> TaneRun::BuildCandidatePartition(
     WorkerState* w, const LevelCandidate& candidate,
     const std::vector<Node>& survivors) {
   if (config_.use_partition_products) {
@@ -952,19 +988,33 @@ StatusOr<StrippedPartition> TaneRun::BuildCandidatePartition(
     // Handles are allocated monotonically and never reused, so handle+1 is
     // a sound content token: consecutive candidates sharing their left
     // parent (GenerateNextLevel groups them) skip re-labeling.
-    return w->product.Multiply(
-        *a, *b, static_cast<uint64_t>(survivors[candidate.parent_a].handle) + 1);
+    const uint64_t token =
+        static_cast<uint64_t>(survivors[candidate.parent_a].handle) + 1;
+    BuiltPartition built;
+    if (count_parent_tests()) {
+      TANE_ASSIGN_OR_RETURN(CountedProduct counted,
+                            w->product.MultiplyCounted(*a, *b, token));
+      built.partition = std::move(counted.partition);
+      built.parent_tests = {counted.b, counted.a};
+    } else {
+      TANE_ASSIGN_OR_RETURN(built.partition,
+                            w->product.Multiply(*a, *b, token));
+    }
+    return built;
   }
   // Schlimmer-style recomputation: fold the candidate set's singleton
   // partitions, |X|−1 products instead of one.
   const std::vector<int> members = candidate.set.ToIndices();
-  StrippedPartition product = singleton_partitions_[members[0]];
+  BuiltPartition built;
+  built.partition = singleton_partitions_[members[0]];
   for (size_t i = 1; i < members.size(); ++i) {
     TANE_ASSIGN_OR_RETURN(
-        product, w->product.Multiply(product, singleton_partitions_[members[i]]));
+        built.partition,
+        w->product.Multiply(built.partition,
+                            singleton_partitions_[members[i]]));
     metrics_.Add(w->shard, obs::kPartitionProducts, 1);
   }
-  return product;
+  return built;
 }
 
 bool TaneRun::UseParallelWindow(int64_t count, int64_t est_row_work) const {
@@ -989,7 +1039,7 @@ Status TaneRun::CommitOneSlot(WindowContext* ctx, int64_t i) {
   TANE_CHECK(slot.partition.has_value()) << "commit of an unpublished slot";
   if (!slot.partition->ok()) return slot.partition->status();
   TANE_RETURN_IF_ERROR(slot.outcome.status);
-  StrippedPartition partition = std::move(*slot.partition).value();
+  StrippedPartition partition = std::move(slot.partition->value().partition);
   slot.partition.reset();
 
   Node node;
@@ -1091,16 +1141,16 @@ Status TaneRun::RunLevelWindow(const WindowInputs& in, const BuildFn& build,
     WindowSlot& slot = ctx.slots[i];
     slot.partition.emplace(build(w, i));
     if (!slot.partition->ok()) return;
-    const StrippedPartition& built = slot.partition->value();
+    const BuiltPartition& built = slot.partition->value();
     Node node;
     node.set = (*in.sets)[i];
     node.cplus = (*in.cplus)[i];
-    node.error = built.Error();
+    node.error = built.partition.Error();
     const int* subsets =
         in.subset_positions == nullptr
             ? nullptr
             : in.subset_positions->data() + i * in.level_number;
-    slot.outcome.status = ProcessNode(in.level_number, node, &built,
+    slot.outcome.status = ProcessNode(in.level_number, node, built,
                                       in.parents, subsets, w, &slot.outcome);
     slot.outcome.processed = true;
     metrics_.Add(w->shard, obs::kNodesProcessed, 1);
@@ -1218,6 +1268,8 @@ Status TaneRun::WriteCheckpoint(int level_number,
   snapshot.counters.g3_scans = metrics_.CounterTotal(obs::kG3Scans);
   snapshot.counters.g3_scans_skipped =
       metrics_.CounterTotal(obs::kG3ScansSkipped);
+  snapshot.counters.g3_from_product =
+      metrics_.CounterTotal(obs::kG3FromProduct);
   snapshot.counters.partition_products =
       metrics_.CounterTotal(obs::kPartitionProducts);
   snapshot.counters.keys_found = metrics_.CounterTotal(obs::kKeysFound);
@@ -1297,6 +1349,7 @@ Status TaneRun::RestoreFromSnapshot(const RunSnapshot& snapshot,
   metrics_.Add(0, obs::kValidityTests, carried.validity_tests);
   metrics_.Add(0, obs::kG3Scans, carried.g3_scans);
   metrics_.Add(0, obs::kG3ScansSkipped, carried.g3_scans_skipped);
+  metrics_.Add(0, obs::kG3FromProduct, carried.g3_from_product);
   metrics_.Add(0, obs::kPartitionProducts, carried.partition_products);
   metrics_.Add(0, obs::kKeysFound, carried.keys_found);
   metrics_.Add(0, obs::kNodesProcessed, carried.nodes_processed);
@@ -1578,10 +1631,12 @@ Status TaneRun::Run(DiscoveryResult* result) {
       obs::SpanGuard span(tracer_, "base-partitions", &metrics_);
       seed_status = RunLevelWindow(
           in,
-          [&](WorkerState*, int64_t i) {
-            return StatusOr<StrippedPartition>(PartitionBuilder::ForAttribute(
+          [&](WorkerState*, int64_t i) -> StatusOr<BuiltPartition> {
+            BuiltPartition built;
+            built.partition = PartitionBuilder::ForAttribute(
                 relation_, static_cast<int>(i),
-                config_.use_stripped_partitions));
+                config_.use_stripped_partitions);
+            return built;
           },
           &current, &stats_.level_parallel.back());
     }
@@ -1688,6 +1743,7 @@ Status TaneRun::Run(DiscoveryResult* result) {
   stats_.validity_tests = snapshot.counter(obs::kValidityTests);
   stats_.g3_scans = snapshot.counter(obs::kG3Scans);
   stats_.g3_scans_skipped = snapshot.counter(obs::kG3ScansSkipped);
+  stats_.g3_from_product = snapshot.counter(obs::kG3FromProduct);
   stats_.partition_products = snapshot.counter(obs::kPartitionProducts);
   stats_.product_allocations = snapshot.counter(obs::kProductAllocations);
   stats_.product_rows_scanned = snapshot.counter(obs::kProductRowsScanned);

@@ -19,6 +19,7 @@ std::string_view CounterName(CounterId id) {
     case kValidityTests:      return "validity_tests";
     case kG3Scans:            return "g3_scans";
     case kG3ScansSkipped:     return "g3_scans_skipped";
+    case kG3FromProduct:      return "g3_from_product";
     case kPartitionProducts:  return "partition_products";
     case kProductAllocations: return "product_allocations";
     case kProductRowsScanned: return "product_rows_scanned";

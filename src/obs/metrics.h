@@ -33,7 +33,8 @@ namespace obs {
 enum CounterId : int {
   kValidityTests = 0,   ///< the paper's v
   kG3Scans,             ///< exact error scans executed
-  kG3ScansSkipped,      ///< scans the e(·) bounds made unnecessary
+  kG3ScansSkipped,      ///< scans not run: e(·) bounds or product counts
+  kG3FromProduct,       ///< of those, tests the product's counts answered
   kPartitionProducts,   ///< Lemma-3 products computed
   kProductAllocations,  ///< heap allocations inside Multiply
   kProductRowsScanned,  ///< member rows walked by Multiply's label+probe

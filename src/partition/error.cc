@@ -18,6 +18,26 @@ int64_t IntegerThreshold(double epsilon, double scale) {
   return std::max<int64_t>(0, static_cast<int64_t>(std::floor(product)));
 }
 
+namespace {
+
+// The largest π_{X∪A} subclass of a π_X class of 1 to 3 rows, from two or
+// three probe loads: a subclass of two or more rows is a pair of rows with
+// the same valid (non-negative) label.
+inline int32_t TinyLargest(const int32_t* probe, const int32_t* rows,
+                           int32_t n, int32_t base) {
+  if (n == 1) return 1;
+  const int32_t g0 = probe[rows[0]] - base;
+  const int32_t g1 = probe[rows[1]] - base;
+  const bool e01 = g0 >= 0 && g0 == g1;
+  if (n == 2) return e01 ? 2 : 1;
+  const int32_t g2 = probe[rows[2]] - base;
+  const bool e02 = g0 >= 0 && g0 == g2;
+  if (e01 && e02) return 3;
+  return e01 || e02 || (g1 >= 0 && g1 == g2) ? 2 : 1;
+}
+
+}  // namespace
+
 G3Bounds BoundG3RemovalCount(const StrippedPartition& lhs,
                              const StrippedPartition& lhs_with_rhs) {
   G3Bounds bounds;
@@ -37,15 +57,21 @@ G3Calculator::G3Calculator(int64_t num_rows)
   groups_.assign(num_rows, 0);
 }
 
-Status G3Calculator::PrepareAndLabel(const StrippedPartition& lhs,
-                                     const StrippedPartition& lhs_with_rhs,
-                                     int32_t* base) {
+Status G3Calculator::CheckRowCounts(const StrippedPartition& lhs,
+                                    const StrippedPartition& lhs_with_rhs) {
   if (lhs.num_rows() != lhs_with_rhs.num_rows()) {
     return Status::InvalidArgument(
         "error-measure operands disagree on row count: " +
         std::to_string(lhs.num_rows()) + " vs " +
         std::to_string(lhs_with_rhs.num_rows()));
   }
+  return Status::OK();
+}
+
+Status G3Calculator::PrepareAndLabel(const StrippedPartition& lhs,
+                                     const StrippedPartition& lhs_with_rhs,
+                                     int32_t* base) {
+  TANE_RETURN_IF_ERROR(CheckRowCounts(lhs, lhs_with_rhs));
   if (lhs.num_rows() > num_rows_) {
     // Partitions over more rows than the constructed scratch size: grow to
     // fit rather than corrupt memory or abort.
@@ -83,7 +109,7 @@ void G3Calculator::RecordScan(const StrippedPartition& lhs,
   }
 }
 
-StatusOr<int64_t> G3Calculator::RemovalCount(
+StatusOr<ViolationCounts> G3Calculator::LargestSubclassCounts(
     const StrippedPartition& lhs, const StrippedPartition& lhs_with_rhs) {
   int32_t base = 0;
   TANE_RETURN_IF_ERROR(PrepareAndLabel(lhs, lhs_with_rhs, &base));
@@ -93,37 +119,49 @@ StatusOr<int64_t> G3Calculator::RemovalCount(
   // classes; its count never feeds `largest` (their effective subclass size
   // is 1, the initial value), and the touched list resets it with the rest.
   const int32_t dummy = static_cast<int32_t>(lhs_with_rhs.num_classes());
-  int64_t removals = 0;
-  const std::vector<int32_t>& coarse_rows = lhs.row_ids();
+  ViolationCounts totals;
+  const int32_t* const coarse_rows = lhs.row_ids().data();
+  const int32_t* const probe = probe_.data();
   int32_t* const counts = counts_.data();
   int32_t* const touched = touched_.data();
   int32_t* const groups = groups_.data();
   for (int64_t cls = 0; cls < lhs.num_classes(); ++cls) {
     const int32_t begin = lhs.class_begin(cls);
     const int32_t class_rows = lhs.class_end(cls) - begin;
-    GatherGroups(probe_.data(), coarse_rows.data() + begin, class_rows, base,
-                 groups);
     // The largest subclass has size >= 1 even if every row of this class is
     // a singleton in π_{X∪A}.
     int32_t largest = 1;
-    int64_t touched_count = 0;
-    for (int32_t i = 0; i < class_rows; ++i) {
-      const int32_t g = groups[i];
-      const int32_t valid = static_cast<int32_t>(g >= 0);
-      const int32_t idx = valid ? g : dummy;
-      const int32_t cnt = counts[idx] + 1;
-      counts[idx] = cnt;
-      touched[touched_count] = idx;
-      touched_count += static_cast<int64_t>(cnt == 1);
-      const int32_t effective = valid ? cnt : 1;
-      largest = std::max(largest, effective);
+    if (class_rows <= 3) {
+      largest = TinyLargest(probe, coarse_rows + begin, class_rows, base);
+    } else {
+      GatherGroups(probe, coarse_rows + begin, class_rows, base, groups);
+      int64_t touched_count = 0;
+      for (int32_t i = 0; i < class_rows; ++i) {
+        const int32_t g = groups[i];
+        const int32_t valid = static_cast<int32_t>(g >= 0);
+        const int32_t idx = valid ? g : dummy;
+        const int32_t cnt = counts[idx] + 1;
+        counts[idx] = cnt;
+        touched[touched_count] = idx;
+        touched_count += static_cast<int64_t>(cnt == 1);
+        const int32_t effective = valid ? cnt : 1;
+        largest = std::max(largest, effective);
+      }
+      for (int64_t t = 0; t < touched_count; ++t) counts[touched[t]] = 0;
     }
-    for (int64_t t = 0; t < touched_count; ++t) counts[touched[t]] = 0;
-    removals += lhs.class_size(cls) - largest;
+    totals.removals += class_rows - largest;
+    totals.violating_rows += largest < class_rows ? class_rows : 0;
   }
 
   RecordScan(lhs, lhs_with_rhs);
-  return removals;
+  return totals;
+}
+
+StatusOr<int64_t> G3Calculator::RemovalCount(
+    const StrippedPartition& lhs, const StrippedPartition& lhs_with_rhs) {
+  TANE_ASSIGN_OR_RETURN(const ViolationCounts counts,
+                        LargestSubclassCounts(lhs, lhs_with_rhs));
+  return counts.removals;
 }
 
 StatusOr<double> G3Calculator::Error(const StrippedPartition& lhs,
@@ -137,45 +175,18 @@ StatusOr<double> G3Calculator::Error(const StrippedPartition& lhs,
 
 StatusOr<int64_t> G3Calculator::ViolatingPairCount(
     const StrippedPartition& lhs, const StrippedPartition& lhs_with_rhs) {
-  int32_t base = 0;
-  TANE_RETURN_IF_ERROR(PrepareAndLabel(lhs, lhs_with_rhs, &base));
-
-  // Ordered agreeing pairs within a class c: |c|·(|c|−1). Of those, pairs
-  // also agreeing on A: Σ |c'|·(|c'|−1) over the subclasses c' ⊆ c. Rows
-  // that are singletons in π_{X∪A} form subclasses of size 1 contributing
-  // zero, so only stored subclasses need counting — the skip branch stays,
-  // since the correction sum must not see the dummy slot.
-  int64_t violating = 0;
-  const std::vector<int32_t>& coarse_rows = lhs.row_ids();
-  int32_t* const counts = counts_.data();
-  int32_t* const touched = touched_.data();
-  int32_t* const groups = groups_.data();
-  for (int64_t cls = 0; cls < lhs.num_classes(); ++cls) {
-    const int64_t size = lhs.class_size(cls);
-    violating += size * (size - 1);
-    const int32_t begin = lhs.class_begin(cls);
-    const int32_t class_rows = lhs.class_end(cls) - begin;
-    GatherGroups(probe_.data(), coarse_rows.data() + begin, class_rows, base,
-                 groups);
-    int64_t touched_count = 0;
-    for (int32_t i = 0; i < class_rows; ++i) {
-      const int32_t fine_cls = groups[i];
-      if (fine_cls < 0) continue;
-      const int32_t cnt = counts[fine_cls] + 1;
-      counts[fine_cls] = cnt;
-      touched[touched_count] = fine_cls;
-      touched_count += static_cast<int64_t>(cnt == 1);
+  TANE_RETURN_IF_ERROR(CheckRowCounts(lhs, lhs_with_rhs));
+  // Ordered agreeing pairs within a class c: |c|·(|c|−1); singletons (the
+  // classes a stripped partition leaves out) contribute none.
+  const auto agreeing_pairs = [](const StrippedPartition& p) {
+    int64_t pairs = 0;
+    for (int64_t cls = 0; cls < p.num_classes(); ++cls) {
+      const int64_t size = p.class_size(cls);
+      pairs += size * (size - 1);
     }
-    for (int64_t t = 0; t < touched_count; ++t) {
-      const int32_t fine_cls = touched[t];
-      const int64_t sub = counts[fine_cls];
-      violating -= sub * (sub - 1);
-      counts[fine_cls] = 0;
-    }
-  }
-
-  RecordScan(lhs, lhs_with_rhs);
-  return violating;
+    return pairs;
+  };
+  return agreeing_pairs(lhs) - agreeing_pairs(lhs_with_rhs);
 }
 
 StatusOr<double> G3Calculator::G1Error(const StrippedPartition& lhs,
@@ -190,41 +201,9 @@ StatusOr<double> G3Calculator::G1Error(const StrippedPartition& lhs,
 
 StatusOr<int64_t> G3Calculator::ViolatingRowCount(
     const StrippedPartition& lhs, const StrippedPartition& lhs_with_rhs) {
-  int32_t base = 0;
-  TANE_RETURN_IF_ERROR(PrepareAndLabel(lhs, lhs_with_rhs, &base));
-
-  // Every row of a π_X class that splits under π_{X∪A} is in violation
-  // with the rows of the other subclasses; classes that stay whole
-  // contribute nothing.
-  int64_t violating = 0;
-  const std::vector<int32_t>& coarse_rows = lhs.row_ids();
-  int32_t* const counts = counts_.data();
-  int32_t* const touched = touched_.data();
-  int32_t* const groups = groups_.data();
-  for (int64_t cls = 0; cls < lhs.num_classes(); ++cls) {
-    const int64_t size = lhs.class_size(cls);
-    const int32_t begin = lhs.class_begin(cls);
-    const int32_t class_rows = lhs.class_end(cls) - begin;
-    GatherGroups(probe_.data(), coarse_rows.data() + begin, class_rows, base,
-                 groups);
-    // The class stays whole iff some subclass has the full class size.
-    bool whole = false;
-    int64_t touched_count = 0;
-    for (int32_t i = 0; i < class_rows; ++i) {
-      const int32_t fine_cls = groups[i];
-      if (fine_cls < 0) continue;
-      const int32_t cnt = counts[fine_cls] + 1;
-      counts[fine_cls] = cnt;
-      touched[touched_count] = fine_cls;
-      touched_count += static_cast<int64_t>(cnt == 1);
-      whole = whole || (cnt == size);
-    }
-    for (int64_t t = 0; t < touched_count; ++t) counts[touched[t]] = 0;
-    if (!whole) violating += size;
-  }
-
-  RecordScan(lhs, lhs_with_rhs);
-  return violating;
+  TANE_ASSIGN_OR_RETURN(const ViolationCounts counts,
+                        LargestSubclassCounts(lhs, lhs_with_rhs));
+  return counts.violating_rows;
 }
 
 StatusOr<double> G3Calculator::G2Error(const StrippedPartition& lhs,

@@ -41,17 +41,31 @@ struct G3Bounds {
 G3Bounds BoundG3RemovalCount(const StrippedPartition& lhs,
                              const StrippedPartition& lhs_with_rhs);
 
-/// Computes the exact g3 error of dependencies X → A from π_X and π_{X∪A}
-/// (paper §2): for every class c of π_X the rows outside the largest
-/// π_{X∪A}-subclass of c must be removed. Structurally a counting pass —
-/// and implemented as one: the labeling pass is an epoch-tagged scatter
-/// (no reset pass between calls, like PartitionProduct's probe table), the
-/// counting pass gathers labels into a flat SoA stream (GatherGroups), and
-/// the per-class accumulation is branch-free — rows that are singletons in
-/// π_{X∪A} are predicated into a dummy counter slot instead of branching.
+/// The violation counts of X → A that follow from the largest π_{X∪A}
+/// subclass of every π_X class c: g3 removes the |c| − largest rows of
+/// each class, and g2 counts every row of a class that splits (largest <
+/// |c|).
+struct ViolationCounts {
+  int64_t removals = 0;        ///< g3 numerator
+  int64_t violating_rows = 0;  ///< g2 numerator
+};
+
+/// Computes the exact error of dependencies X → A from π_X (`lhs`) and
+/// π_{X∪A} (`lhs_with_rhs`), paper §2 and Kivinen & Mannila [5]. g3 and g2
+/// need the largest π_{X∪A}-subclass of every π_X class, found by a
+/// counting pass: an epoch-tagged labeling of π_{X∪A} (no reset pass
+/// between calls, like PartitionProduct's probe table), then per π_X class
+/// either two or three probe loads and label compares (classes of 2 or 3
+/// rows, most classes deep in the lattice) or a gather of the class's
+/// labels into a flat SoA stream (GatherGroups) and a branch-free count —
+/// rows that are singletons in π_{X∪A} are predicated into a dummy counter
+/// slot instead of branching. g1 needs class sizes only (see
+/// ViolatingPairCount) and scans nothing.
 ///
-/// The scratch arrays are reused across calls; construction takes the
-/// relation's row count, but partitions over more rows simply grow the
+/// Every method requires π_{X∪A} to refine π_X, which holds for X → A by
+/// construction; the two may use different representations (stripped or
+/// not). The scratch arrays are reused across calls; construction takes
+/// the relation's row count, but partitions over more rows simply grow the
 /// scratch. Instances are not thread-safe; parallel callers keep one
 /// G3Calculator per worker.
 ///
@@ -80,7 +94,11 @@ class G3Calculator {
 
   /// The g1 numerator (Kivinen & Mannila [5]): the number of *ordered* row
   /// pairs (t, u), t ≠ u, that agree on X but differ on A. g1 itself is
-  /// this count divided by |r|².
+  /// this count divided by |r|². Since π_{X∪A} refines π_X, the pairs
+  /// agreeing on X∪A are a subset of those agreeing on X, so the count is
+  /// Σ_{c∈π_X} |c|(|c|−1) − Σ_{f∈π_{X∪A}} |f|(|f|−1): class sizes only, no
+  /// row is read. For a pair that is not a refinement the result is
+  /// meaningless.
   StatusOr<int64_t> ViolatingPairCount(const StrippedPartition& lhs,
                                        const StrippedPartition& lhs_with_rhs);
 
@@ -102,6 +120,13 @@ class G3Calculator {
   int64_t rows_scanned() const { return rows_scanned_; }
 
  private:
+  // The g3 and g2 counts together, from one labeling and counting pass.
+  StatusOr<ViolationCounts> LargestSubclassCounts(
+      const StrippedPartition& lhs, const StrippedPartition& lhs_with_rhs);
+
+  static Status CheckRowCounts(const StrippedPartition& lhs,
+                               const StrippedPartition& lhs_with_rhs);
+
   // Validates the operands, grows the scratch when they cover more rows
   // than the constructed size, and runs the epoch-tagged labeling pass over
   // lhs_with_rhs. On success `*base` holds the epoch the labels were

@@ -117,6 +117,46 @@ int64_t ScatterWithCounts(const int32_t* __restrict rows, int32_t begin,
   return touched_count;
 }
 
+// A `b` class of 2 or 3 rows yields at most one product class — two of its
+// rows in one `a` class, or all three — so label compares resolve it with
+// no scatter, touched list or copy call. g0..g2 are the rows' `a` labels
+// (negative: not in a stored `a` class; g2 is unused for 2 rows). Writes
+// the shared bucket's rows to `out` in `b` order and returns its size with
+// its `a` class in *group, or returns 0 when no two rows share a class.
+// The emitted class and its row order are exactly what the touched-list
+// scatter would emit.
+inline int32_t ResolveTinyClass(const int32_t* rows, int32_t n, int32_t g0,
+                                int32_t g1, int32_t g2, int32_t* out,
+                                int32_t* group) {
+  const bool e01 = g0 >= 0 && g0 == g1;
+  if (n == 2) {
+    if (!e01) return 0;
+    out[0] = rows[0];
+    out[1] = rows[1];
+    *group = g0;
+    return 2;
+  }
+  const bool e02 = g0 >= 0 && g0 == g2;
+  if (e01 || e02) {
+    *group = g0;
+    out[0] = rows[0];
+    if (e01 && e02) {
+      out[1] = rows[1];
+      out[2] = rows[2];
+      return 3;
+    }
+    out[1] = e01 ? rows[1] : rows[2];
+    return 2;
+  }
+  if (g1 >= 0 && g1 == g2) {
+    *group = g1;
+    out[0] = rows[1];
+    out[1] = rows[2];
+    return 2;
+  }
+  return 0;
+}
+
 // Collisions are frequent enough for the flush-late chain to pay off when
 // rows outnumber buckets by a wide margin; past this many `a` classes the
 // plain loop's two fewer ops per row win. Empirical knee on the bench
@@ -162,6 +202,22 @@ void PartitionProduct::CountAllocation() {
 StatusOr<StrippedPartition> PartitionProduct::Multiply(
     const StrippedPartition& a, const StrippedPartition& b,
     uint64_t a_token) {
+  return MultiplyImpl<false>(a, b, a_token, nullptr);
+}
+
+StatusOr<CountedProduct> PartitionProduct::MultiplyCounted(
+    const StrippedPartition& a, const StrippedPartition& b,
+    uint64_t a_token) {
+  CountedProduct out;
+  TANE_ASSIGN_OR_RETURN(out.partition,
+                        MultiplyImpl<true>(a, b, a_token, &out));
+  return out;
+}
+
+template <bool kCounts>
+StatusOr<StrippedPartition> PartitionProduct::MultiplyImpl(
+    const StrippedPartition& a, const StrippedPartition& b, uint64_t a_token,
+    CountedProduct* counted) {
   if (a.num_rows() != b.num_rows()) {
     return Status::InvalidArgument(
         "partition product operands disagree on row count: " +
@@ -225,6 +281,26 @@ StatusOr<StrippedPartition> PartitionProduct::Multiply(
   out_offsets[0] = 0;
   int32_t out_size = 0;
   int64_t out_classes = 0;
+
+  // Parent counts (kCounts only): a_largest[g] is the largest bucket `a`
+  // class g has filled so far, over every `b` class; the `b` side is
+  // settled per `b` class. Buckets of one row need no update: every
+  // subclass has at least one row, so max(1, ·) covers them.
+  int32_t* a_largest = nullptr;
+  ViolationCounts b_counts;
+  if constexpr (kCounts) {
+    // Sized on first use, so runs that never count pay nothing for it.
+    if (static_cast<int64_t>(a_largest_.size()) < num_rows_ + 1) {
+      a_largest_.assign(num_rows_ + 1, 0);
+    }
+    a_largest = a_largest_.data();
+  }
+  // Settles the `b` class just emitted: its rows outside its largest
+  // bucket are the removals of the test whose left-hand side is `b`.
+  const auto settle_b = [&b_counts](int32_t size, int32_t largest) {
+    b_counts.removals += size - largest;
+    b_counts.violating_rows += largest < size ? size : 0;
+  };
 
   // Pass 2, per class of `b`: a branch-free scatter routes each of the
   // class's rows into a flat bucket per `a` class — bucket `g` lives at
@@ -299,16 +375,22 @@ StatusOr<StrippedPartition> PartitionProduct::Multiply(
       const int32_t end = b.class_end(cls);
       scatter(b_rows_data, begin, end, probe, base, groups, trash_group,
               cursor, bucket_data);
+      int32_t largest = 1;
       for (int64_t g = 0; g < a_classes; ++g) {
         const int32_t bucket_begin = bucket_base[g];
         const int32_t count = cursor[g] - bucket_begin;
         cursor[g] = bucket_begin;
+        if constexpr (kCounts) {
+          largest = std::max(largest, count);
+          a_largest[g] = std::max(a_largest[g], count);
+        }
         if (count < min_size) continue;
         std::copy_n(bucket_data + bucket_begin, count, out_rows + out_size);
         out_size += count;
         out_offsets[++out_classes] = out_size;
       }
       cursor[trash_group] = bucket_base[trash_group];
+      if constexpr (kCounts) settle_b(end - begin, largest);
     }
     for (int64_t g = 0; g <= a_classes; ++g) cursor[g] = 0;
   } else {
@@ -321,23 +403,67 @@ StatusOr<StrippedPartition> PartitionProduct::Multiply(
                             : &ScatterWithCounts<true, false>)
                  : (chained ? &ScatterWithCounts<false, true>
                             : &ScatterWithCounts<false, false>);
+    // Stripped `b` classes of 2 or 3 rows (most classes deep in the
+    // lattice) resolve by label compares instead: see ResolveTinyClass.
+    const bool tiny_classes = b.stripped();
     for (int64_t cls = 0; cls < b.num_classes(); ++cls) {
       const int32_t begin = b.class_begin(cls);
       const int32_t end = b.class_end(cls);
+      if (tiny_classes && end - begin <= 3) {
+        const auto label = [&](int32_t i) {
+          return gathered ? groups[i] : probe[b_rows_data[i]] - base;
+        };
+        const int32_t n = end - begin;
+        int32_t group = -1;
+        const int32_t emitted = ResolveTinyClass(
+            b_rows_data + begin, n, label(begin), label(begin + 1),
+            n == 3 ? label(begin + 2) : -1, out_rows + out_size, &group);
+        if (emitted > 0) {
+          out_size += emitted;
+          out_offsets[++out_classes] = out_size;
+          if constexpr (kCounts) {
+            a_largest[group] = std::max(a_largest[group], emitted);
+          }
+        }
+        if constexpr (kCounts) settle_b(n, std::max(emitted, 1));
+        continue;
+      }
       const int64_t touched_count =
           scatter(b_rows_data, begin, end, probe, base, groups, trash_group,
                   bucket_base, group_size, bucket_data, touched);
+      int32_t largest = 1;
       for (int64_t t = 0; t < touched_count; ++t) {
         const int32_t group = touched[t];
         const int32_t count = group_size[group];
         group_size[group] = 0;
-        if (count < min_size || group == trash_group) continue;
+        if (group == trash_group) continue;
+        if constexpr (kCounts) {
+          largest = std::max(largest, count);
+          a_largest[group] = std::max(a_largest[group], count);
+        }
+        if (count < min_size) continue;
         std::copy_n(bucket_data + bucket_base[group], count,
                     out_rows + out_size);
         out_size += count;
         out_offsets[++out_classes] = out_size;
       }
+      if constexpr (kCounts) settle_b(end - begin, largest);
     }
+  }
+
+  if constexpr (kCounts) {
+    // Settle the `a` side: every subclass of `a` class g is one of its
+    // buckets (rows no `b` class reached are one-row subclasses).
+    ViolationCounts a_counts;
+    for (int64_t g = 0; g < a_classes; ++g) {
+      const int32_t size = a.class_size(g);
+      const int32_t largest = std::max(a_largest[g], 1);
+      a_largest[g] = 0;
+      a_counts.removals += size - largest;
+      a_counts.violating_rows += largest < size ? size : 0;
+    }
+    counted->a = a_counts;
+    counted->b = b_counts;
   }
 
   rows_scanned_ += rows_scanned;

@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "partition/error.h"
 #include "partition/stripped_partition.h"
 #include "util/status.h"
 
@@ -13,6 +14,16 @@ namespace tane {
 namespace obs {
 class MetricsRegistry;
 }  // namespace obs
+
+/// A product π' · π'' = π_X with the g3 and g2 counts of the two
+/// dependencies whose left-hand side is an operand and whose fine
+/// partition is the product: `a` for coarse partition π' (the test
+/// X∖{B} → B when π' = π_{X∖{B}}), `b` for coarse partition π''.
+struct CountedProduct {
+  StrippedPartition partition;
+  ViolationCounts a;
+  ViolationCounts b;
+};
 
 /// Computes partition products π' · π'' = π_{X∪Y} (Lemma 3) with the
 /// linear-time probe-table algorithm of the TANE paper, restructured as two
@@ -26,7 +37,15 @@ class MetricsRegistry;
 ///    SoA group stream (GatherGroups, unrolled and prefetched) so the
 ///    random probe loads overlap; cache-resident tables probe directly.
 ///    See product.cc for the two emission strategies (index-order scan vs
-///    first-seen touched list), selected by operand shape alone.
+///    first-seen touched list), selected by operand shape alone. On the
+///    touched-list path a stripped `b` class of 2 or 3 rows (most classes
+///    deep in the lattice) skips the scatter: it yields at most one
+///    product class, found by comparing its rows' labels, and written
+///    straight to the output in the order the scatter would emit it.
+///
+/// MultiplyCounted also returns the g3 and g2 counts of the two validity
+/// tests whose left-hand side is an operand (see CountedProduct), taken
+/// from the buckets the scatter fills anyway.
 ///
 /// All scratch is flat arrays — an O(|r|) epoch-labelled probe table (no
 /// reset pass between calls), the SoA group stream, a bucket arena laid out
@@ -84,6 +103,20 @@ class PartitionProduct {
                                        const StrippedPartition& b,
                                        uint64_t a_token = 0);
 
+  /// Multiply, plus the violation counts of the two parent tests, taken
+  /// from the scatter itself: every π_{X}-subclass of an operand class is
+  /// one of the buckets the scatter fills, so the largest subclass of each
+  /// `b` class is known when it is emitted, and that of each `a` class
+  /// after a running per-`a`-class maximum. The counts equal
+  /// G3Calculator::RemovalCount and ViolatingRowCount of (a, product) and
+  /// (b, product), for any operands Multiply accepts. The output partition
+  /// is identical to Multiply's; the extra work is one max per emitted
+  /// bucket and one pass over `a`'s class sizes, compiled into this entry
+  /// point only, so plain Multiply pays nothing for it.
+  StatusOr<CountedProduct> MultiplyCounted(const StrippedPartition& a,
+                                           const StrippedPartition& b,
+                                           uint64_t a_token = 0);
+
   /// Heap allocations performed by Multiply since construction: the
   /// output arrays of every product, plus scratch growth for operands over
   /// more rows than the constructed size.
@@ -121,17 +154,28 @@ class PartitionProduct {
   int64_t probe_base_for_testing() const { return probe_base_; }
 
   /// Bytes retained by the reusable scratch arrays (probe table, SoA group
-  /// stream, per-class size arrays, bucket arena, output scratch), for
+  /// stream, per-class size arrays, bucket arena, output scratch, and the
+  /// per-class maxima of MultiplyCounted once it has run), for
   /// memory-budget accounting.
   int64_t ScratchBytes() const {
     return static_cast<int64_t>(
         (probe_.capacity() + group_size_.capacity() + touched_.capacity() +
          bucket_data_.capacity() + groups_.capacity() +
-         out_rows_.capacity() + out_offsets_.capacity()) *
+         out_rows_.capacity() + out_offsets_.capacity() +
+         a_largest_.capacity()) *
         sizeof(int32_t));
   }
 
  private:
+  // Both entry points. kCounts compiles in the parent-count bookkeeping
+  // and fills `counted`'s counts (not its partition); without it
+  // `counted` is unused.
+  template <bool kCounts>
+  StatusOr<StrippedPartition> MultiplyImpl(const StrippedPartition& a,
+                                           const StrippedPartition& b,
+                                           uint64_t a_token,
+                                           CountedProduct* counted);
+
   // One heap allocation happened: bump the local counter and, when a
   // registry is attached, the kProductAllocations shard counter with it.
   void CountAllocation();
@@ -178,6 +222,10 @@ class PartitionProduct {
   // offsets (out_offsets_[0] = 0). Copied out exactly sized at the end.
   std::vector<int32_t> out_rows_;
   std::vector<int32_t> out_offsets_;
+  // MultiplyCounted only: the largest bucket each `a` class has filled in
+  // the current product (all-zero between products). Sized by the first
+  // counted product, so a run that never counts does not carry it.
+  std::vector<int32_t> a_largest_;
 
   obs::MetricsRegistry* metrics_ = nullptr;
   int metrics_shard_ = 0;

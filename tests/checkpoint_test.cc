@@ -198,6 +198,7 @@ RunSnapshot MakeSnapshot() {
   snapshot.keys.push_back(AttributeSet::FromMask(0xb));
   snapshot.counters.sets_generated = 41;
   snapshot.counters.validity_tests = 29;
+  snapshot.counters.g3_from_product = 11;
   snapshot.counters.fds_emitted = 2;
   snapshot.counters.max_level_size = 6;
   LevelParallelStats level;
@@ -232,6 +233,7 @@ TEST(RunSnapshotTest, SerializeDeserializeRoundTrip) {
   EXPECT_EQ(restored.keys[0].mask(), snapshot.keys[0].mask());
   EXPECT_EQ(restored.counters.sets_generated, 41);
   EXPECT_EQ(restored.counters.max_level_size, 6);
+  EXPECT_EQ(restored.counters.g3_from_product, 11);
   ASSERT_EQ(restored.level_parallel.size(), 1u);
   EXPECT_EQ(restored.level_parallel[0].nodes, 4);
   ASSERT_EQ(restored.survivors.size(), 1u);

@@ -2,8 +2,11 @@
 // PartitionProduct::Multiply and G3Calculator against naive map-based
 // references on random partitions — both emission strategies, the gathered
 // and direct probe paths, label reuse, and operands over more rows than the
-// constructed size — plus a discovery run checked for bit-identical output
-// and exact allocation counts across thread counts.
+// constructed size — plus every label pattern of the 2- and 3-row classes
+// the product resolves by compares, the parent-test counts of
+// MultiplyCounted, and discovery runs checked for bit-identical output,
+// exact allocation counts and agreement with brute force across thread
+// counts.
 
 #include <algorithm>
 #include <cstdint>
@@ -11,12 +14,15 @@
 #include <utility>
 #include <vector>
 
+#include "baselines/brute_force.h"
 #include "core/tane.h"
 #include "datasets/paper_datasets.h"
 #include "gtest/gtest.h"
 #include "obs/metrics.h"
 #include "partition/error.h"
+#include "partition/partition_builder.h"
 #include "partition/product.h"
+#include "tests/test_util.h"
 #include "util/random.h"
 
 namespace tane {
@@ -71,6 +77,45 @@ StrippedPartition NaiveProduct(const StrippedPartition& a,
     labels[row] = pair_label.emplace(key, next).first->second;
   }
   return FromLabels(labels, a.stripped()).Canonicalized();
+}
+
+// The touched-list emission order by definition: per class of `b`, in
+// order, its rows grouped by `a` class in first-seen order, each group's
+// rows in `b` order; groups below the representation's minimum class size
+// (in particular stripped rows in no stored `a` class) are dropped.
+StrippedPartition TouchedListProduct(const StrippedPartition& a,
+                                     const StrippedPartition& b) {
+  const std::vector<int32_t> in_a = ClassOfRow(a);
+  const size_t min_size = a.stripped() ? 2 : 1;
+  std::vector<int32_t> rows;
+  std::vector<int32_t> offsets{0};
+  for (int64_t cls = 0; cls < b.num_classes(); ++cls) {
+    std::vector<int32_t> first_seen;
+    std::map<int32_t, std::vector<int32_t>> groups;
+    for (int32_t i = b.class_begin(cls); i < b.class_end(cls); ++i) {
+      const int32_t row = b.row_ids()[i];
+      std::vector<int32_t>& group = groups[in_a[row]];
+      if (group.empty()) first_seen.push_back(in_a[row]);
+      group.push_back(row);
+    }
+    for (const int32_t label : first_seen) {
+      const std::vector<int32_t>& group = groups[label];
+      if (group.size() < min_size) continue;
+      rows.insert(rows.end(), group.begin(), group.end());
+      offsets.push_back(static_cast<int32_t>(rows.size()));
+    }
+  }
+  StatusOr<StrippedPartition> product = StrippedPartition::Create(
+      a.num_rows(), std::move(rows), std::move(offsets), a.stripped());
+  EXPECT_TRUE(product.ok()) << product.status().ToString();
+  return std::move(product).value();
+}
+
+// True when Multiply(a, b) takes the touched-list emission path (the
+// index-order scan would dwarf the row walk); see product.cc.
+bool TakesTouchedListPath(const StrippedPartition& a,
+                          const StrippedPartition& b) {
+  return (a.num_classes() + 1) * b.num_classes() > b.num_member_rows();
 }
 
 struct NaiveCounts {
@@ -258,8 +303,165 @@ TEST_P(ProductDifferentialTest, GatheredProbePathMatchesDirectPath) {
   }
 }
 
+TEST_P(ProductDifferentialTest, ParentCountsMatchNaiveCounts) {
+  // MultiplyCounted against the naive g3/g2 numerators of both parent
+  // tests (operand -> product), with an output identical to Multiply's,
+  // in both emission regimes and on the direct and gathered probe paths.
+  Rng rng(0x27d4eb2fu + static_cast<uint64_t>(GetParam()));
+  const int64_t rows = 17 + static_cast<int64_t>(rng.NextBounded(150));
+  const std::vector<std::vector<int32_t>> columns = FuzzColumns(rng, rows);
+  PartitionProduct plain(rows);
+  PartitionProduct direct(rows);
+  PartitionProduct gathered(int64_t{1} << 19);
+  int regimes[2] = {0, 0};
+  for (const bool stripped : {true, false}) {
+    std::vector<StrippedPartition> partitions;
+    for (const std::vector<int32_t>& column : columns) {
+      partitions.push_back(FromLabels(column, stripped));
+    }
+    // Products as left operands: many small classes, the touched-list
+    // regime and its 2- and 3-row classes.
+    const size_t base_count = partitions.size();
+    for (size_t a = 1; a < base_count; ++a) {
+      partitions.push_back(
+          plain.Multiply(partitions[a], partitions[base_count - 1]).value());
+    }
+    for (const StrippedPartition& a : partitions) {
+      for (const StrippedPartition& b : partitions) {
+        const StrippedPartition expected = plain.Multiply(a, b).value();
+        const NaiveCounts naive_a = NaiveErrors(a, expected);
+        const NaiveCounts naive_b = NaiveErrors(b, expected);
+        ++regimes[TakesTouchedListPath(a, b) ? 1 : 0];
+        for (PartitionProduct* product : {&direct, &gathered}) {
+          const CountedProduct counted =
+              product->MultiplyCounted(a, b).value();
+          EXPECT_EQ(counted.partition, expected);
+          EXPECT_EQ(counted.a.removals, naive_a.removals);
+          EXPECT_EQ(counted.a.violating_rows, naive_a.violating_rows);
+          EXPECT_EQ(counted.b.removals, naive_b.removals);
+          EXPECT_EQ(counted.b.violating_rows, naive_b.violating_rows);
+        }
+      }
+    }
+  }
+  EXPECT_GT(regimes[0], 0);
+  EXPECT_GT(regimes[1], 0);
+}
+
+TEST_P(ProductDifferentialTest, G1CountFromClassSizesMatchesNaiveCount) {
+  // ViolatingPairCount reads class sizes only, which is exact for any
+  // refinement pair, whatever the two representations.
+  Rng rng(0x165667b1u + static_cast<uint64_t>(GetParam()));
+  const int64_t rows = 17 + static_cast<int64_t>(rng.NextBounded(150));
+  const std::vector<std::vector<int32_t>> columns = FuzzColumns(rng, rows);
+  PartitionProduct product(rows);
+  G3Calculator g3(rows);
+  for (const std::vector<int32_t>& x : columns) {
+    for (const std::vector<int32_t>& y : columns) {
+      const StrippedPartition coarse = FromLabels(x, true);
+      const StrippedPartition fine =
+          product.Multiply(coarse, FromLabels(y, true)).value();
+      const int64_t expected = NaiveErrors(coarse, fine).violating_pairs;
+      EXPECT_EQ(g3.ViolatingPairCount(coarse, fine).value(), expected);
+      EXPECT_EQ(g3.ViolatingPairCount(coarse.Unstripped(), fine).value(),
+                expected);
+      EXPECT_EQ(g3.ViolatingPairCount(coarse, fine.Unstripped()).value(),
+                expected);
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, ProductDifferentialTest,
                          ::testing::Range(0, 8));
+
+TEST(ProductTinyClassTest, EveryLabelPatternKeepsTheTouchedListOrder) {
+  // One `b` class of 2 or 3 rows (rows 3, 7, 11) whose rows sit in `a`
+  // class 0, 1 or 2, or in no stored `a` class (pattern value 3: a
+  // singleton in stripped `a`, the trash bucket): every assignment, so
+  // all-equal, each equal pair, all-distinct, and trash in every position.
+  // Filler rows give `a` four stored classes, which keeps these operands on
+  // the touched-list path. The product must equal the touched-list order
+  // exactly — for stripped operands the single class of the rows sharing
+  // a stored `a` class — with and without label reuse, on the direct and
+  // gathered probe paths, and MultiplyCounted must agree on the partition
+  // and count both parent tests right.
+  constexpr int32_t kRows = 16;
+  constexpr int32_t kClassRows[3] = {3, 7, 11};
+  constexpr int kTrash = 3;
+  PartitionProduct direct(kRows);
+  PartitionProduct gathered(int64_t{1} << 19);
+  uint64_t token = 0;
+  for (const int n : {2, 3}) {
+    const int patterns = n == 2 ? 16 : 64;
+    for (int pattern = 0; pattern < patterns; ++pattern) {
+      std::vector<int> label(n);
+      for (int k = 0, rest = pattern; k < n; ++k, rest /= 4) {
+        label[k] = rest % 4;
+      }
+      std::vector<int32_t> a_labels(kRows);
+      std::vector<int32_t> b_labels(kRows);
+      for (int32_t row = 0; row < kRows; ++row) {
+        a_labels[row] = 100 + row;
+        b_labels[row] = 200 + row;
+      }
+      for (const int32_t row : {0, 1}) a_labels[row] = 0;
+      for (const int32_t row : {4, 5}) a_labels[row] = 1;
+      for (const int32_t row : {8, 9}) a_labels[row] = 2;
+      for (const int32_t row : {12, 13, 14, 15}) a_labels[row] = 3;
+      for (int k = 0; k < n; ++k) {
+        b_labels[kClassRows[k]] = 50;
+        if (label[k] != kTrash) a_labels[kClassRows[k]] = label[k];
+      }
+      // The rows of the `b` class that share a stored `a` class (at most
+      // one such class among 3 rows).
+      std::vector<int32_t> shared;
+      for (int value = 0; value < kTrash; ++value) {
+        std::vector<int32_t> members;
+        for (int k = 0; k < n; ++k) {
+          if (label[k] == value) members.push_back(kClassRows[k]);
+        }
+        if (members.size() >= 2) shared = members;
+      }
+      for (const bool stripped : {true, false}) {
+        const std::string tag = "n=" + std::to_string(n) + " pattern=" +
+                                std::to_string(pattern) +
+                                (stripped ? " stripped" : " unstripped");
+        const StrippedPartition a = FromLabels(a_labels, stripped);
+        const StrippedPartition b = FromLabels(b_labels, stripped);
+        ASSERT_TRUE(TakesTouchedListPath(a, b)) << tag;
+        const StrippedPartition expected = TouchedListProduct(a, b);
+        if (stripped) {
+          EXPECT_EQ(expected.row_ids(), shared) << tag;
+          EXPECT_EQ(expected.num_classes(), shared.empty() ? 0 : 1) << tag;
+        }
+        EXPECT_EQ(expected.Canonicalized(), NaiveProduct(a, b)) << tag;
+        const NaiveCounts naive_a = NaiveErrors(a, expected);
+        const NaiveCounts naive_b = NaiveErrors(b, expected);
+        for (PartitionProduct* product : {&direct, &gathered}) {
+          // Token 0 labels every time; a fresh token labels once and the
+          // calls after it reuse the labels.
+          EXPECT_EQ(product->Multiply(a, b).value(), expected) << tag;
+          ++token;
+          const int64_t reuses = product->label_reuses();
+          for (int call = 0; call < 2; ++call) {
+            const StrippedPartition out =
+                product->Multiply(a, b, token).value();
+            EXPECT_EQ(out.row_ids(), expected.row_ids()) << tag;
+            EXPECT_EQ(out.class_offsets(), expected.class_offsets()) << tag;
+          }
+          const CountedProduct counted =
+              product->MultiplyCounted(a, b, token).value();
+          EXPECT_EQ(product->label_reuses(), reuses + 2) << tag;
+          EXPECT_EQ(counted.partition, expected) << tag;
+          EXPECT_EQ(counted.a.removals, naive_a.removals) << tag;
+          EXPECT_EQ(counted.a.violating_rows, naive_a.violating_rows) << tag;
+          EXPECT_EQ(counted.b.removals, naive_b.removals) << tag;
+          EXPECT_EQ(counted.b.violating_rows, naive_b.violating_rows) << tag;
+        }
+      }
+    }
+  }
+}
 
 TEST(ProductDifferentialTest, ProductAllocationsDoNotDriftWithThreadCount) {
   StatusOr<Relation> relation = MakePaperDataset(
@@ -328,6 +530,76 @@ TEST(ProductDifferentialTest, DiscoveryIsBitIdenticalAcrossThreads) {
     EXPECT_EQ(serial.stats.product_allocations,
               parallel.stats.product_allocations)
         << epsilon;
+  }
+}
+
+TEST(ProductDifferentialTest, ParentTestsFromTheProductMatchBruteForce) {
+  // The product answers the two tests whose left-hand side is one of its
+  // parents. Discovery must still equal brute force, dependency by
+  // dependency and error by error, at every thread count, with and
+  // without the g3 bounds — at ε = 0.05 and at an ε whose threshold
+  // ⌊ε·|r|⌋ is exactly the count of a level-2 test (at level 2 both tests
+  // of every node are parent tests). Every approximate-mode test is
+  // either a scan or a skipped scan.
+  StatusOr<Relation> relation = MakePaperDataset(
+      PaperDataset::kWisconsinBreastCancer, /*rows=*/150, /*seed=*/42);
+  ASSERT_TRUE(relation.ok()) << relation.status().ToString();
+  const int64_t rows = relation->num_rows();
+  G3Calculator g3(rows);
+  for (const ErrorMeasure measure : {ErrorMeasure::kG3, ErrorMeasure::kG2}) {
+    // The first {A} -> B with a nonzero count.
+    int64_t count = 0;
+    for (int a = 0; a < relation->num_columns() && count == 0; ++a) {
+      for (int b = a + 1; b < relation->num_columns() && count == 0; ++b) {
+        const StrippedPartition lhs =
+            PartitionBuilder::ForAttribute(*relation, a);
+        const StrippedPartition joint = PartitionBuilder::ForAttributeSet(
+            *relation, AttributeSet::Of({a, b}));
+        count = measure == ErrorMeasure::kG3
+                    ? g3.RemovalCount(lhs, joint).value()
+                    : g3.ViolatingRowCount(lhs, joint).value();
+      }
+    }
+    ASSERT_GT(count, 0);
+    const double on_count = (static_cast<double>(count) + 0.5) /
+                            static_cast<double>(rows);
+    ASSERT_EQ(IntegerThreshold(on_count, static_cast<double>(rows)), count);
+    for (const double epsilon : {0.05, on_count}) {
+      StatusOr<DiscoveryResult> oracle =
+          BruteForce::Discover(*relation, epsilon, kMaxAttributes, measure);
+      ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+      for (const bool bounds : {true, false}) {
+        for (const int threads : {1, 2, 4, 8}) {
+          const std::string tag =
+              "measure=" + std::to_string(static_cast<int>(measure)) +
+              " eps=" + std::to_string(epsilon) +
+              " bounds=" + std::to_string(bounds) +
+              " threads=" + std::to_string(threads);
+          TaneConfig config;
+          config.epsilon = epsilon;
+          config.measure = measure;
+          config.use_g3_bounds = bounds;
+          config.num_threads = threads;
+          // Run the task window on every level, however small.
+          config.parallel_min_window_rows = 0;
+          StatusOr<DiscoveryResult> result =
+              Tane::Discover(*relation, config);
+          ASSERT_TRUE(result.ok()) << result.status().ToString();
+          ASSERT_EQ(testing_util::FdStrings(result->fds),
+                    testing_util::FdStrings(oracle->fds))
+              << tag;
+          for (size_t i = 0; i < oracle->fds.size(); ++i) {
+            EXPECT_EQ(result->fds[i].error, oracle->fds[i].error) << tag;
+          }
+          const DiscoveryStats& stats = result->stats;
+          EXPECT_EQ(stats.g3_scans + stats.g3_scans_skipped,
+                    stats.validity_tests)
+              << tag;
+          EXPECT_GT(stats.g3_from_product, 0) << tag;
+          EXPECT_LE(stats.g3_from_product, stats.g3_scans_skipped) << tag;
+        }
+      }
+    }
   }
 }
 

@@ -81,6 +81,7 @@ void ExpectSameWork(const DiscoveryStats& expected,
   EXPECT_EQ(expected.validity_tests, actual.validity_tests) << tag;
   EXPECT_EQ(expected.g3_scans, actual.g3_scans) << tag;
   EXPECT_EQ(expected.g3_scans_skipped, actual.g3_scans_skipped) << tag;
+  EXPECT_EQ(expected.g3_from_product, actual.g3_from_product) << tag;
   EXPECT_EQ(expected.partition_products, actual.partition_products) << tag;
   EXPECT_EQ(expected.product_allocations, actual.product_allocations) << tag;
   EXPECT_EQ(expected.g3_rows_scanned, actual.g3_rows_scanned) << tag;

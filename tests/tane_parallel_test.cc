@@ -56,6 +56,7 @@ void ExpectIdenticalResults(const DiscoveryResult& expected,
   // only who does it.
   EXPECT_EQ(expected.stats.validity_tests, actual.stats.validity_tests);
   EXPECT_EQ(expected.stats.g3_scans, actual.stats.g3_scans);
+  EXPECT_EQ(expected.stats.g3_from_product, actual.stats.g3_from_product);
   EXPECT_EQ(expected.stats.partition_products,
             actual.stats.partition_products);
   EXPECT_EQ(expected.stats.sets_generated, actual.stats.sets_generated);

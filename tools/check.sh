@@ -102,6 +102,17 @@ else
 fi
 echo "obs smoke OK: ${obs_dir}"
 
+# perfbench smoke: every workload perfbench defines (the g3 one included)
+# on shrunken inputs. A serial run re-checks each FD it finds against an
+# independent g3 measurement, and the threaded and traced runs must match
+# its FD count and digest, so a product or g3 kernel change that alters the
+# output fails here.
+echo "==> perfbench smoke: perfbench/run.py --smoke"
+if command -v python3 >/dev/null 2>&1; then
+  python3 perfbench/run.py --smoke
+fi
+echo "perfbench smoke OK"
+
 # Profile gate: the same discovery five times without and five times with
 # --profile-out, alternating so host load hits both sides alike;
 # check_obs.py validates the folded-stack artifact, requires its main

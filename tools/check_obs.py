@@ -80,6 +80,7 @@ STATS_TOKENS = {
     "products": ("metrics", "counters", "partition_products"),
     "g3_scans": ("metrics", "counters", "g3_scans"),
     "g3_scans_skipped": ("metrics", "counters", "g3_scans_skipped"),
+    "g3_from_product": ("metrics", "counters", "g3_from_product"),
     "product_allocations": ("metrics", "counters", "product_allocations"),
     "peak_partition_bytes": ("metrics", "gauges", "peak_resident_bytes"),
     "checkpoint_writes": ("checkpoint", "writes"),

@@ -367,6 +367,7 @@ Status RunDiscover(const ParsedArgs& args, std::ostream& out,
         << " products=" << stats.partition_products
         << " g3_scans=" << stats.g3_scans
         << " g3_scans_skipped=" << stats.g3_scans_skipped
+        << " g3_from_product=" << stats.g3_from_product
         << " product_allocations=" << stats.product_allocations
         << " product_rows_scanned=" << stats.product_rows_scanned
         << " product_label_reuses=" << stats.product_label_reuses

@@ -16,7 +16,9 @@ fixed on one side, new on the other) — and classifies every difference:
   * numeric leaves that describe *measurements* — timings, rates,
     hardware counters, overhead ratios — must agree within the relative
     tolerance band (default 0.5, i.e. 50%: wall-clock noise between two
-    runs on a shared CI box is real);
+    runs on a shared CI box is real); a `*seconds` leaf also agrees when
+    the two values differ by at most 5 ms, since a relative band says
+    nothing about a phase that takes a millisecond or two;
   * every other leaf — search counters, configuration, results, level
     tables — must match exactly: two runs of the same configuration are
     deterministic by design, and a drift in partition_products between
@@ -43,6 +45,11 @@ NOISY_PATH = re.compile(
     r"|cycles|instructions|cache_references|cache_misses|branch_misses"
     r"|resident|wall|worker|elapsed|dropped_events|buffered_events")
 
+# Absolute agreement floor for leaves whose name ends in `seconds`: a
+# millisecond-scale phase (timing.other_seconds reads 1-3 ms) moves by more
+# than the relative band between two clean runs.
+SECONDS_FLOOR = 0.005
+
 # Paths ignored outright: environment identity, not run behaviour.
 IGNORED_PATH = re.compile(r"\bpath\b|hostname|timestamp")
 
@@ -68,11 +75,11 @@ def classify(path_text):
     return "exact"
 
 
-def within_band(a, b, rel_tol):
+def within_band(a, b, rel_tol, abs_floor=0.0):
     if a == b:
         return True
     scale = max(abs(a), abs(b))
-    return abs(a - b) <= rel_tol * scale
+    return abs(a - b) <= max(rel_tol * scale, abs_floor)
 
 
 def diff_docs(a, b, rel_tol, path="", problems=None):
@@ -104,9 +111,11 @@ def diff_docs(a, b, rel_tol, path="", problems=None):
         if kind == "ignored":
             return problems
         if kind == "noisy":
-            if not within_band(a, b, rel_tol):
-                problems.append(
-                    f"{where}: {a} vs {b} outside the ±{rel_tol:.0%} band")
+            floor = SECONDS_FLOOR if where.endswith("seconds") else 0.0
+            if not within_band(a, b, rel_tol, floor):
+                beyond = f" and the {floor * 1000:g} ms floor" if floor else ""
+                problems.append(f"{where}: {a} vs {b} outside the "
+                                f"±{rel_tol:.0%} band{beyond}")
         elif a != b:
             problems.append(f"{where}: {a} != {b} (deterministic field)")
         return problems
